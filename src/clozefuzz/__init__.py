@@ -20,7 +20,7 @@ from .infill import (
     infill,
 )
 from .lexer import Token, TokenKind, lex
-from .masking import MaskedVariant, cloze, is_special_masked, render
+from .masking import MaskedVariant, cloze, render
 from .mining import ExtractedSnippet, IssueRecord, extract_snippets, harvest
 from .oracle import BugKind, BugSignature, BugStore, Novelty, classify, signature
 from .spe import Skeleton, enumerate_fillings, extract_variables, generate_variants
@@ -66,7 +66,6 @@ __all__ = [
     "generate_variants",
     "harvest",
     "infill",
-    "is_special_masked",
     "lex",
     "load_corpus",
     "preflight_filter",

@@ -4,6 +4,14 @@ Finds every matched pair of (), {}, [] and a conservative subset of
 generic <> pairs in a program, then arranges the pairs into a forest
 ordered by containment. Unmatched brackets are dropped silently; the
 rest of the pipeline only ever sees well-formed spans.
+
+Every stage is linear. (), {} and [] pair on one stack. Angles pair in
+one pass over the significant tokens, with a depth counter per bracket
+kind and a stack of pending '<' per depth tuple. Every '<' is pushed,
+as a placeholder unless it follows a name, '::' or '>'. A '>' pops the
+stack of the current tuple and pairs only with a plausible '<'. A ';'
+clears every stack; a closer of kind k at level d drops the stacks
+whose tuple has k-component d. Fused tokens (<<, >>, ->, ...) are opaque.
 """
 
 from __future__ import annotations
@@ -73,68 +81,54 @@ def _angle_opener_plausible(prev: Token | None) -> bool:
     return prev.kind is TokenKind.PUNCT and prev.text in ("::", ">")
 
 
-def _scan_angle_close(sig: list[Token], open_idx: int) -> int | None:
-    """Walk forward from a candidate '<' looking for its '>'.
-
-    Nested (), {}, [] groups are skipped whole. The scan gives up at
-    any ';', at a closer that has no opener inside the scanned region,
-    or at end of input: past any of those the '<' was a comparison.
-    """
+def _match_angles(sig: list[Token]) -> list[tuple[BracketKind, int, int]]:
+    """Generic angle pairs, by the single-pass rules above."""
+    pairs: list[tuple[BracketKind, int, int]] = []
     depth = {BracketKind.PAREN: 0, BracketKind.BRACE: 0, BracketKind.SQUARE: 0}
-    angle = 0
-    for t in sig[open_idx + 1 :]:
-        if t.kind is TokenKind.PUNCT and t.text == ";":
-            return None
+    pending: dict[tuple[int, ...], list[Token | None]] = {}
+    # (kind, level) -> depth tuples filed there when their stack began;
+    # stale entries are harmless and the lists stay O(number of '<')
+    at_level: dict[tuple[BracketKind, int], list[tuple[int, ...]]] = {}
+    prev: Token | None = None
+    for t in sig:
         if t.kind is TokenKind.OPEN_BRACKET:
             depth[_OPEN_KIND[t.text]] += 1
-            continue
-        if t.kind is TokenKind.CLOSE_BRACKET:
+        elif t.kind is TokenKind.CLOSE_BRACKET:
             kind = _CLOSE_KIND[t.text]
-            if depth[kind] == 0:
-                return None
+            for key in at_level.pop((kind, depth[kind]), ()):
+                pending.pop(key, None)
+            # a stray closer may take a counter below zero; it has just
+            # dropped every pending '<', so only relative depths matter
             depth[kind] -= 1
-            continue
-        if any(depth.values()):
-            continue
-        if t.kind is TokenKind.PUNCT:
-            if t.text == "<":
-                angle += 1
-            elif t.text == ">":
-                if angle == 0:
-                    return t.start
-                angle -= 1
-            # fused operators (<<, >>, <=, ...) are opaque here on purpose
-    return None
-
-
-def _match_angles(sig: list[Token]) -> list[tuple[BracketKind, int, int]]:
-    pairs: list[tuple[BracketKind, int, int]] = []
-    for idx, t in enumerate(sig):
-        if t.kind is not TokenKind.PUNCT or t.text != "<":
-            continue
-        prev = sig[idx - 1] if idx > 0 else None
-        if not _angle_opener_plausible(prev):
-            continue
-        close_at = _scan_angle_close(sig, idx)
-        if close_at is not None:
-            pairs.append((BracketKind.ANGLE, t.start, close_at))
+        elif t.kind is TokenKind.PUNCT and t.text == "<":
+            key = tuple(depth.values())
+            if key not in pending:
+                pending[key] = []
+                for kind_level in zip(depth, key):
+                    at_level.setdefault(kind_level, []).append(key)
+            pending[key].append(t if _angle_opener_plausible(prev) else None)
+        elif t.kind is TokenKind.PUNCT and t.text == ">":
+            stack = pending.get(tuple(depth.values()))
+            opener = stack.pop() if stack else None
+            if opener is not None:
+                pairs.append((BracketKind.ANGLE, opener.start, t.start))
+        elif t.kind is TokenKind.PUNCT and t.text == ";":
+            pending.clear()
+            at_level.clear()
+        prev = t
     return pairs
 
 
-def find_bracket_pairs(source: str) -> list[BracketSpan]:
-    """All matched bracket spans of a program as a containment forest.
-
-    Roots come back in textual order; each node's children are the
-    spans nested directly inside it.
-    """
-    tokens = lex(source).tokens
-    sig = significant_tokens(tokens)
-    raw = _match_classical(tokens) + _match_angles(sig)
+def _sorted_forest(source: str, tokens: list[Token] | None) -> list[BracketSpan]:
+    """Every span, linked into the containment forest, in (open_at,
+    -close_at) order, which is also the forest's depth-first pre-order."""
+    if tokens is None:
+        tokens = lex(source).tokens
+    raw = _match_classical(tokens) + _match_angles(significant_tokens(tokens))
 
     spans = [BracketSpan(kind, open_at, close_at) for kind, open_at, close_at in raw]
     spans.sort(key=lambda s: (s.open_at, -s.close_at))
 
-    roots: list[BracketSpan] = []
     stack: list[BracketSpan] = []
     for span in spans:
         while stack and stack[-1].close_at < span.open_at:
@@ -142,26 +136,33 @@ def find_bracket_pairs(source: str) -> list[BracketSpan]:
         if stack:
             span.depth = stack[-1].depth + 1
             stack[-1].children.append(span)
-        else:
-            span.depth = 0
-            roots.append(span)
         stack.append(span)
-    return roots
+    return spans
+
+
+def find_bracket_pairs(
+    source: str, tokens: list[Token] | None = None
+) -> list[BracketSpan]:
+    """All matched bracket spans of a program as a containment forest.
+
+    Roots come back in textual order; each node's children are the
+    spans nested directly inside it. ``tokens`` is ``lex(source).tokens``
+    when the caller already has it.
+    """
+    return [s for s in _sorted_forest(source, tokens) if s.depth == 0]
 
 
 def flatten_spans(roots: list[BracketSpan]) -> list[BracketSpan]:
     """Depth-first pre-order flattening of a span forest."""
     out: list[BracketSpan] = []
-
-    def walk(span: BracketSpan) -> None:
+    todo = list(reversed(roots))
+    while todo:
+        span = todo.pop()
         out.append(span)
-        for child in span.children:
-            walk(child)
-
-    for root in roots:
-        walk(root)
+        todo.extend(reversed(span.children))
     return out
 
 
-def find_spans(source: str) -> list[BracketSpan]:
-    return flatten_spans(find_bracket_pairs(source))
+def find_spans(source: str, tokens: list[Token] | None = None) -> list[BracketSpan]:
+    """Every span of ``find_bracket_pairs`` in depth-first pre-order."""
+    return _sorted_forest(source, tokens)

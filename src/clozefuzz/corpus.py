@@ -15,6 +15,7 @@ import logging
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -59,7 +60,11 @@ class CorpusEntry:
     source_text: str
     content_hash: str
     provenance: str
-    token_count: int
+
+    @cached_property
+    def token_count(self) -> int:
+        """Non-whitespace tokens, lexed on first use: loading lexes nothing."""
+        return count_nonspace_tokens(self.source_text)
 
 
 class Corpus:
@@ -123,7 +128,6 @@ class Corpus:
             source_text=text,
             content_hash=digest,
             provenance=provenance,
-            token_count=count_nonspace_tokens(text),
         )
         self._insert(entry)
         return entry.id, True
@@ -187,7 +191,6 @@ class Corpus:
                 source_text=text,
                 content_hash=digest,
                 provenance=record["provenance"],
-                token_count=count_nonspace_tokens(text),
             )
             corpus._insert(entry, persist=False)
         corpus.storage_dir = root

@@ -255,31 +255,30 @@ def infill(
     else:
         temperatures = [cfg.base_temperature]
 
+    # candidates share the variant's prefix and suffix, so a candidate
+    # repeats the seed or an earlier one exactly when its fill does
+    original = variant.original_interior
     results: list[InfillResult] = []
-    seen: set[str] = set()
+    seen: set[str] = {original}
     for temperature in temperatures:
         request = CompletionRequest(
             masked_text=masked,
             sentinel=backend.sentinel,
             temperature=temperature,
             max_tokens=cfg.max_fill_tokens,
-            original_interior=variant.original_interior,
+            original_interior=original,
         )
         try:
             fill = backend.complete(request)
         except BackendTransportError as exc:
             logger.warning("infill attempt failed at transport level: %s", exc)
             continue
-        candidate = variant.prefix + fill + variant.suffix
-        if candidate == variant.seed_text:
+        if fill in seen:
             continue
-        digest = hashlib.sha256(candidate.encode("utf-8")).hexdigest()
-        if digest in seen:
-            continue
-        seen.add(digest)
+        seen.add(fill)
         results.append(
             InfillResult(
-                candidate_text=candidate,
+                candidate_text=variant.prefix + fill + variant.suffix,
                 variant=variant,
                 temperature=temperature,
                 backend_id=getattr(backend, "backend_id", "unknown"),

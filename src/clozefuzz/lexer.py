@@ -62,14 +62,6 @@ _PUNCTS_2 = (
     "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
 )
 
-_ANGLE_FUSED = frozenset(("<<", ">>", "<=", ">=", "<<=", ">>=", "->", "=>"))
-
-
-def is_fused_angle_punct(text: str) -> bool:
-    """True for operator tokens that swallow a '<' or '>'."""
-    return text in _ANGLE_FUSED
-
-
 def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 

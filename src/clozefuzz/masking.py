@@ -4,6 +4,12 @@ Each matched bracket pair of a seed program yields one variant whose
 interior is replaced by a backend-specific sentinel at render time.
 The delimiters themselves always stay in the text, so the completion
 model sees the syntactic scaffolding around the hole.
+
+``cloze`` lexes a seed once and takes both the spans and the feature
+attribute ranges from that token stream. A variant is a view: it holds
+the seed text itself in ``source`` plus its span and slices ``prefix``,
+``suffix`` and ``original_interior`` out of it on demand, so masking
+costs memory linear in the seed, whatever its span count.
 """
 
 from __future__ import annotations
@@ -11,34 +17,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brackets import BracketKind, BracketSpan, find_spans
-from .lexer import TokenKind, lex, significant_tokens
+from .lexer import Token, TokenKind, lex, significant_tokens
 
 
 @dataclass(frozen=True)
 class MaskedVariant:
     seed_id: str
     span: BracketSpan
-    prefix: str
-    suffix: str
-    original_interior: str
+    source: str
     special: bool
 
     @property
+    def prefix(self) -> str:
+        return self.source[: self.span.open_at + 1]
+
+    @property
+    def suffix(self) -> str:
+        return self.source[self.span.close_at :]
+
+    @property
+    def original_interior(self) -> str:
+        lo, hi = self.span.interior
+        return self.source[lo:hi]
+
+    @property
     def seed_text(self) -> str:
-        return self.prefix + self.original_interior + self.suffix
+        return self.source
 
 
 def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
-    """Character ranges of feature-gate attributes.
+    """Character ranges of feature-gate attributes, in textual order.
 
     Matches `#![feature(...)]` and `#[feature(...)]` modulo whitespace,
     from the '#' through the closing ']'. Ranges are half-open.
     """
-    sig = significant_tokens(lex(source).tokens)
+    tokens = lex(source).tokens
+    return _attribute_ranges(tokens, find_spans(source, tokens))
+
+
+def _attribute_ranges(
+    tokens: list[Token], spans: list[BracketSpan]
+) -> list[tuple[int, int]]:
+    sig = significant_tokens(tokens)
     square_close = {
-        s.open_at: s.close_at
-        for s in find_spans(source)
-        if s.kind is BracketKind.SQUARE
+        s.open_at: s.close_at for s in spans if s.kind is BracketKind.SQUARE
     }
 
     def tok(i: int, kind: TokenKind, text: str) -> bool:
@@ -68,38 +90,22 @@ def cloze(source: str, seed_id: str = "") -> list[MaskedVariant]:
     """One variant per matched bracket pair, in span DFS order.
 
     Empty interiors are masked too; widening an empty pair is a
-    legitimate mutation.
+    legitimate mutation. A variant is special when its pair lies inside
+    a feature-gate attribute.
     """
-    attr_ranges = feature_attribute_ranges(source)
+    tokens = lex(source).tokens
+    spans = find_spans(source, tokens)
+    ranges = _attribute_ranges(tokens, spans)
     variants: list[MaskedVariant] = []
-    for span in find_spans(source):
-        lo, hi = span.interior
-        special = any(
-            a <= span.open_at and span.close_at < b for a, b in attr_ranges
-        )
-        variants.append(
-            MaskedVariant(
-                seed_id=seed_id,
-                span=span,
-                prefix=source[:lo],
-                suffix=source[span.close_at :],
-                original_interior=source[lo:hi],
-                special=special,
-            )
-        )
+    # spans and ranges both ascend by start: a span lies inside a range
+    # exactly when it closes before the furthest end of those opened
+    reach = i = 0
+    for span in spans:
+        while i < len(ranges) and ranges[i][0] <= span.open_at:
+            reach = max(reach, ranges[i][1])
+            i += 1
+        variants.append(MaskedVariant(seed_id, span, source, span.close_at < reach))
     return variants
-
-
-def is_special_masked(variant: MaskedVariant) -> bool:
-    """Whether the masked span sits inside a feature-gate attribute.
-
-    Recomputed from the reconstructed seed text; agrees with the flag
-    stored on the variant.
-    """
-    for a, b in feature_attribute_ranges(variant.seed_text):
-        if a <= variant.span.open_at and variant.span.close_at < b:
-            return True
-    return False
 
 
 def render(variant: MaskedVariant, sentinel: str) -> str:

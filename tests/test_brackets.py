@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import random
+import time
 
-from helpers import fixture_corpus_texts, gen_bracket_source, oracle_pairs
+from helpers import (
+    fixture_corpus_texts,
+    gen_angle_soup,
+    gen_bracket_source,
+    oracle_pairs,
+    reference_find_spans,
+    reference_match_angles,
+)
 
 from clozefuzz.brackets import (
     BracketKind,
+    _match_angles,
     find_bracket_pairs,
     find_spans,
     flatten_spans,
 )
+from clozefuzz.lexer import lex, significant_tokens
 
 
 def non_angle_pairs(source: str) -> set[tuple[str, int, int]]:
@@ -125,3 +135,51 @@ def test_oracle_equivalence_random_sources():
         text = gen_bracket_source(rng)
         assert angle_spans(text) == [], text
         assert non_angle_pairs(text) == oracle_pairs(text), text
+
+
+def span_keys(spans):
+    return [(s.kind, s.open_at, s.close_at, s.depth) for s in spans]
+
+
+def test_single_pass_angles_match_reference_on_token_soups():
+    rng = random.Random(1337)
+    angles = 0
+    for _ in range(10_000):
+        text = gen_angle_soup(rng)
+        tokens = lex(text).tokens
+        expected = reference_match_angles(significant_tokens(tokens))
+        assert sorted(_match_angles(significant_tokens(tokens))) == expected, text
+        spans = find_spans(text, tokens)
+        assert span_keys(spans) == span_keys(reference_find_spans(text)), text
+        angles += len(expected)
+    assert angles > 1000  # the soups do produce generic pairs
+
+
+def test_single_pass_angles_match_reference_on_fixtures():
+    for text in fixture_corpus_texts() + ["Vec<Vec<u8> >", "f::<(A<B>, C)>(x)"]:
+        assert span_keys(find_spans(text)) == span_keys(reference_find_spans(text))
+
+
+def test_find_spans_is_linear_on_a_long_comparison_chain():
+    # every '<' follows a name, so each is a plausible opener that
+    # never closes: a forward scan per '<' would be quadratic
+    terms = " || ".join(f"a{i} < b{i}" for i in range(3000))
+    text = f"fn hostile() -> bool {{ {terms} }}\n"
+    started = time.perf_counter()
+    spans = find_spans(text)
+    assert time.perf_counter() - started < 1.0
+    assert angle_spans(text) == []
+    assert len(spans) == 2
+
+
+def test_find_spans_is_linear_on_an_aborting_turbofish_nest():
+    # each '<' waits inside ever deeper parens and is dropped only when
+    # the closers unwind past it
+    levels = 2000
+    text = "f::<(" * levels + "x" + ")" * levels
+    started = time.perf_counter()
+    spans = find_spans(text)
+    assert time.perf_counter() - started < 1.0
+    assert [s.kind for s in spans] == [BracketKind.PAREN] * levels
+    assert spans[-1].depth == levels - 1
+    assert span_keys(flatten_spans(find_bracket_pairs(text))) == span_keys(spans)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import TRIGGER_BODY
 
+import clozefuzz
 from clozefuzz.cli import main
 
 SEED_MAIN = "fn main() { helper(1); }\n"
@@ -371,11 +374,15 @@ class TestDebugCommands:
 
 
 def test_module_entry_point_smoke():
+    # run the package under test, also when pytest alone put it on the path
+    src = str(Path(clozefuzz.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "clozefuzz", "--help"],
         capture_output=True,
         text=True,
         timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
     assert proc.returncode == 0
     assert "fuzz" in proc.stdout

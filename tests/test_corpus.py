@@ -61,6 +61,27 @@ def test_token_count_is_lexer_derived():
     assert corpus.get(eid).token_count == 6
 
 
+def test_loading_a_corpus_lexes_nothing(tmp_path, monkeypatch):
+    import clozefuzz.corpus as corpus_module
+
+    lexed: list[str] = []
+
+    def counting(text: str) -> int:
+        lexed.append(text)
+        return 6
+
+    monkeypatch.setattr(corpus_module, "count_nonspace_tokens", counting)
+    (tmp_path / "a.rs").write_text("fn main() {}")
+    corpus = load_corpus([tmp_path])
+    store = tmp_path / "store"
+    corpus.attach(store)
+    entry = Corpus.open(store).entries()[0]
+    assert lexed == []
+    # counted on first use, then kept
+    assert entry.token_count == entry.token_count == 6
+    assert lexed == ["fn main() {}"]
+
+
 def test_sampling_determinism_and_spread():
     corpus = Corpus()
     for i in range(4):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from helpers import fixture_corpus_texts
+import random
+
+from helpers import fixture_corpus_texts, gen_angle_soup, reference_cloze
 
 from clozefuzz.brackets import BracketKind, find_spans
 from clozefuzz.masking import (
     cloze,
     feature_attribute_ranges,
-    is_special_masked,
     render,
 )
 
@@ -65,8 +66,11 @@ def test_special_flags_inside_feature_attribute():
 
 def test_special_matches_recomputation():
     for text in fixture_corpus_texts() + [GATED]:
+        ranges = feature_attribute_ranges(text)
         for variant in cloze(text):
-            assert is_special_masked(variant) == variant.special
+            span = variant.span
+            inside = any(a <= span.open_at and span.close_at < b for a, b in ranges)
+            assert inside == variant.special
 
 
 def test_feature_ranges_cover_hash_through_closer():
@@ -92,3 +96,35 @@ def test_non_feature_attributes_are_not_special():
 def test_seed_id_carried_through():
     for variant in cloze("f(x)", seed_id="s42"):
         assert variant.seed_id == "s42"
+
+
+def _parts(variants):
+    return [(v.prefix, v.original_interior, v.suffix, v.special) for v in variants]
+
+
+def test_cloze_matches_reference_on_token_soups():
+    rng = random.Random(5150)
+    specials = 0
+    for _ in range(10_000):
+        text = gen_angle_soup(rng, features=True, pieces=20)
+        expected = reference_cloze(text)
+        assert _parts(cloze(text)) == expected, text
+        specials += sum(special for *_, special in expected)
+    assert specials > 1000  # the sweep was exercised, not just skipped
+
+
+def test_cloze_matches_reference_on_fixtures():
+    texts = fixture_corpus_texts() + [GATED, "\n".join(fixture_corpus_texts(200))]
+    for text in texts:
+        assert _parts(cloze(text)) == reference_cloze(text)
+
+
+def test_variants_share_the_seed_text():
+    # a variant is a view: memory stays linear in the seed, not in
+    # seed length times span count
+    text = "\n".join(fixture_corpus_texts(800))
+    assert len(text) > 50_000
+    variants = cloze(text)
+    assert len(variants) > 3000
+    assert all(v.source is text for v in variants)
+
