@@ -1,18 +1,25 @@
 """Campaign orchestration: the sample-mask-infill-compile-triage loop.
 
-One seed is processed end to end before the next is drawn, so a fixed
-rng seed makes the whole run reproducible. An optional parallel mode
-fans the compile step out over threads while keeping result order, so
-counts stay stable either way.
+The calling thread samples, masks and infills in a fixed order, so a
+fixed rng seed makes the whole run reproducible. Each candidate's
+compile goes to one pool of worker threads that lives as long as the
+campaign, so infill and triage overlap the compiles of earlier
+candidates. Results are committed in the order their compiles were
+issued, and all of a seed's results are committed before the next
+seed is drawn. Counts, bundles and feedback seeds are therefore the
+same for every worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
 import shlex
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,7 +243,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run the full loop until a budget is spent or progress stops.
 
     Fresh ICE and hang findings get a bundle on disk and feed back
-    into the corpus under fuzzer-feedback provenance.
+    into the corpus under fuzzer-feedback provenance. Every compile,
+    preflight included, runs on one pool of ``cfg.workers`` threads
+    that lives as long as the campaign.
     """
     started = time.monotonic()
     out_dir = Path(cfg.out_dir)
@@ -245,12 +254,25 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     for target in cfg.compilers:
         ensure_compiler(target)
 
+    pool = ThreadPoolExecutor(
+        max_workers=cfg.workers, thread_name_prefix="clozefuzz-compile"
+    )
+    try:
+        return _run(cfg, pool, started, out_dir)
+    finally:
+        # queued compiles never start; running ones finish and clean up
+        pool.shutdown(cancel_futures=True)
+
+
+def _run(
+    cfg: CampaignConfig, pool: ThreadPoolExecutor, started: float, out_dir: Path
+) -> CampaignReport:
     corpus = _load_campaign_corpus(cfg.corpus_dir)
     initial_size = len(corpus)
     preflight_rejected = 0
     if not cfg.skip_preflight:
         for target in cfg.compilers:
-            corpus = preflight_filter(corpus, target)
+            corpus = preflight_filter(corpus, target, pool.map)
             preflight_rejected += len(corpus.preflight_rejections)
     if len(corpus) == 0:
         raise CorpusError("no usable seeds: corpus is empty after preflight")
@@ -279,26 +301,78 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
     rng = random.Random(cfg.seed)
     store = BugStore(out_dir / "bugstore")
+    deadline = None if cfg.budget_seconds is None else started + cfg.budget_seconds
+    # compiles issued and not yet committed, oldest first; twice the
+    # worker count keeps every worker fed while the next one is infilled
+    in_flight: deque[tuple[Future, InfillResult, CompilerConfig]] = deque()
+    max_in_flight = 2 * cfg.workers
+    issued = 0
 
     def spent() -> str | None:
-        if (
-            cfg.budget_candidates is not None
-            and report.candidates_compiled >= cfg.budget_candidates
-        ):
+        # counting issued rather than committed compiles keeps the
+        # candidate budget exact with compiles still in flight
+        if cfg.budget_candidates is not None and issued >= cfg.budget_candidates:
             return "candidates"
-        if (
-            cfg.budget_seconds is not None
-            and time.monotonic() - started >= cfg.budget_seconds
-        ):
+        if deadline is not None and time.monotonic() >= deadline:
             return "seconds"
         return None
 
     idle_limit = max(50, 4 * len(corpus))
     idle = 0
 
+    def commit(result: InfillResult, target: CompilerConfig, outcome) -> None:
+        """Triage one compile. Runs on the campaign's thread in issue
+        order, so the bug store, bundles and feedback seeds match any
+        worker count."""
+        report.candidates_compiled += 1
+        kind = classify(outcome, target.kind, cfg.oracle_patterns)
+        report.outcomes[kind.value] += 1
+        if kind not in (BugKind.ICE, BugKind.HANG):
+            return
+        trace = (
+            time_passes(result.candidate_text, target)
+            if kind is BugKind.HANG
+            else None
+        )
+        sig = signature(outcome, kind, trace, cfg.hang_tail_length)
+        novelty = store.record_if_new(sig, result.candidate_text)
+        if novelty is Novelty.DUPLICATE:
+            report.duplicate += 1
+            return
+        report.interesting += 1
+        report.per_seed[result.variant.seed_id]["interesting"] += 1
+        bundle = report_bug(
+            out_dir, sig, result, outcome, target, corpus, backend.sentinel,
+        )
+        report.bundles.append(str(bundle.relative_to(out_dir)))
+        corpus.add_entry(result.candidate_text, "fuzzer-feedback")
+
+    def settle(limit: int) -> None:
+        """Commit the oldest compiles until at most ``limit`` are in flight.
+
+        A wait wakes at the time budget's deadline and cancels every
+        compile no worker has started, so only compiles already running
+        then can overshoot the budget. A cancelled compile no longer
+        counts as issued.
+        """
+        nonlocal issued
+        while len(in_flight) > limit:
+            head = in_flight[0][0]
+            if deadline is not None and not head.done():
+                left = deadline - time.monotonic()
+                if left <= 0 or not wait([head], timeout=left).done:
+                    for future, _, _ in in_flight:
+                        future.cancel()
+            future, result, target = in_flight.popleft()
+            if future.cancelled():
+                issued -= 1
+            else:
+                commit(result, target, future.result())
+
     def process_seed(entry) -> int:
-        """Mask, infill, compile, and triage one seed. Returns the
-        number of compiles performed."""
+        """Mask and infill one seed, compile its candidates on the pool
+        and commit them all. Returns the number of compiles issued."""
+        nonlocal issued
         stats = report.per_seed.setdefault(
             entry.id,
             {"sampled": 0, "variants": 0, "candidates": 0, "interesting": 0},
@@ -308,7 +382,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         report.variants_masked += len(variants)
         stats["variants"] += len(variants)
 
-        compiled = 0
+        issued_before = issued
         for variant in variants:
             if spent():
                 break
@@ -320,38 +394,16 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
                 continue
             report.candidates_generated += len(results)
             stats["candidates"] += len(results)
-
-            jobs = [
-                (result, target)
-                for result in results
-                for target in cfg.compilers
-            ]
-            outcomes = _run_compiles(jobs, cfg, report, spent)
-            compiled += len(outcomes)
-            for (result, target), outcome in outcomes:
-                kind = classify(outcome, target.kind, cfg.oracle_patterns)
-                report.outcomes[kind.value] += 1
-                if kind not in (BugKind.ICE, BugKind.HANG):
-                    continue
-                trace = (
-                    time_passes(result.candidate_text, target)
-                    if kind is BugKind.HANG
-                    else None
-                )
-                sig = signature(outcome, kind, trace, cfg.hang_tail_length)
-                novelty = store.record_if_new(sig, result.candidate_text)
-                if novelty is Novelty.DUPLICATE:
-                    report.duplicate += 1
-                    continue
-                report.interesting += 1
-                stats["interesting"] += 1
-                bundle = report_bug(
-                    out_dir, sig, result, outcome, target, corpus,
-                    backend.sentinel,
-                )
-                report.bundles.append(str(bundle.relative_to(out_dir)))
-                corpus.add_entry(result.candidate_text, "fuzzer-feedback")
-        return compiled
+            for result, target in itertools.product(results, cfg.compilers):
+                settle(max_in_flight - 1)
+                if spent():
+                    break
+                future = pool.submit(compile_program, result.candidate_text, target)
+                in_flight.append((future, result, target))
+                issued += 1
+        # the next draw may pick a feedback seed committed from this one
+        settle(0)
+        return issued - issued_before
 
     def finalize() -> None:
         report.corpus_size_final = len(corpus)
@@ -374,7 +426,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         entry = corpus.sample(rng)
         report.seeds_sampled += 1
         try:
-            compiled_this_seed = process_seed(entry)
+            issued_this_seed = process_seed(entry)
         except HarnessError as exc:
             # compiler vanished mid-run: stop gracefully, keep findings
             report.aborted = f"compiler unavailable mid-run: {exc}"
@@ -386,47 +438,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             except OSError:
                 pass
             raise CampaignAbortedError(str(exc), partial_report=report) from exc
-        idle = 0 if compiled_this_seed else idle + 1
+        idle = 0 if issued_this_seed else idle + 1
 
     finalize()
     return report
 
-
-def _run_compiles(jobs, cfg: CampaignConfig, report: CampaignReport, spent):
-    """Compile (candidate, target) jobs, honoring both budgets.
-
-    Jobs run in waves no wider than the worker count with a budget
-    check before each wave, so a time budget can overshoot by at most
-    one compile timeout. Returns [(job, outcome)] in job order either
-    way, which keeps report counts independent of the worker count.
-    """
-    results = []
-    remaining = list(jobs)
-    while remaining:
-        if spent():
-            break
-        allowed = len(remaining)
-        if cfg.budget_candidates is not None:
-            allowed = min(
-                allowed, cfg.budget_candidates - report.candidates_compiled
-            )
-        if allowed <= 0:
-            break
-        wave_width = cfg.workers if cfg.workers > 1 else 1
-        wave = remaining[: min(allowed, wave_width)]
-        remaining = remaining[len(wave) :]
-        if len(wave) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                outs = list(
-                    pool.map(
-                        lambda job: compile_program(job[0].candidate_text, job[1]),
-                        wave,
-                    )
-                )
-        else:
-            outs = [compile_program(wave[0][0].candidate_text, wave[0][1])]
-        report.candidates_compiled += len(outs)
-        results.extend(zip(wave, outs))
-    return results

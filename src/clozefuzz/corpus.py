@@ -235,21 +235,26 @@ def load_corpus(
     return corpus
 
 
-def preflight_filter(corpus: Corpus, compiler_cfg) -> Corpus:
+def preflight_filter(corpus: Corpus, compiler_cfg, map_fn=map) -> Corpus:
     """Drop seeds that already trip the oracle before any fuzzing.
 
     A seed whose unmodified compile classifies as ICE or Hang would
     flood the campaign with known-bad findings; only Pass and Reject
     seeds are kept. The compiler is validated up front so a missing
-    binary fails fast rather than after a long corpus walk.
+    binary fails fast rather than after a long corpus walk. ``map_fn``
+    runs the compiles and must return results in input order, like
+    the builtin ``map`` or an executor's ``map``.
     """
     from .harness import compile_program, ensure_compiler
     from .oracle import BugKind, classify
 
     ensure_compiler(compiler_cfg)
     kept = Corpus()
-    for entry in corpus.entries():
-        outcome = compile_program(entry.source_text, compiler_cfg)
+    entries = corpus.entries()
+    outcomes = map_fn(
+        lambda entry: compile_program(entry.source_text, compiler_cfg), entries
+    )
+    for entry, outcome in zip(entries, outcomes):
         kind = classify(outcome, compiler_cfg.kind)
         if kind in (BugKind.ICE, BugKind.HANG):
             kept.preflight_rejections.append((entry.id, kind.value))

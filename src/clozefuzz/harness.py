@@ -136,10 +136,15 @@ def _subprocess_env(cfg: CompilerConfig) -> dict[str, str]:
 
 
 def _cap_stream(data: bytes) -> str:
-    text = data.decode("utf-8", errors="replace")
-    if len(data) > STREAM_CAP:
-        text = text[: STREAM_CAP] + TRUNCATION_MARKER
-    return text
+    if len(data) <= STREAM_CAP:
+        return data.decode("utf-8", errors="replace")
+    # the cap is in bytes, so cut the bytes, at the start of a UTF-8
+    # character (at most three continuation bytes back) so the cut
+    # itself adds no replacement character
+    cut = STREAM_CAP
+    while cut > STREAM_CAP - 3 and data[cut] & 0xC0 == 0x80:
+        cut -= 1
+    return data[:cut].decode("utf-8", errors="replace") + TRUNCATION_MARKER
 
 
 def _kill_process_group(proc: subprocess.Popen) -> None:
@@ -204,18 +209,6 @@ def compile_program(
     if not cfg.keep_artifacts:
         shutil.rmtree(workdir, ignore_errors=True)
     return outcome
-
-
-def compile_many(
-    programs: list[str], cfg: CompilerConfig, workers: int = 1
-) -> list[CompileOutcome]:
-    """Compile a batch, preserving input order in the result list."""
-    if workers <= 1 or len(programs) <= 1:
-        return [compile_program(p, cfg) for p in programs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: compile_program(p, cfg), programs))
 
 
 def _parse_pass_lines(text: str, trace: TimePassesTrace) -> None:

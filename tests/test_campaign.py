@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import subprocess
+import threading
 
 import pytest
 from conftest import TIMEPASS_HANG_BODY, TRIGGER_BODY
 
+from clozefuzz import campaign
 from clozefuzz.campaign import (
     CampaignAbortedError,
     CampaignConfig,
@@ -20,6 +22,12 @@ from clozefuzz.oracle import BugStore, BugStoreError
 
 SEED_MAIN = "fn main() { helper(1); }\n"
 SEED_HELPER = "fn helper(n: u32) { let x = n; }\n"
+# masks inside the attribute get several infill attempts, so their
+# variants yield several candidates
+SEED_FEATURE = (
+    "#![feature(never_type, box_patterns)]\n"
+    "fn main() { let v = [1, 2]; f(v[0]); }\n"
+)
 
 
 @pytest.fixture
@@ -200,6 +208,46 @@ class TestBudgets:
         assert report.budget_exhausted == "seconds"
         assert report.elapsed_seconds >= 0.6
 
+    @pytest.mark.parametrize(
+        "seconds, candidates, compiled",
+        [
+            # the pair running when the budget fires finishes, the
+            # queued pair never starts
+            (1.5, None, 4),
+            # every candidate was issued, but the cancelled ones were
+            # never compiled, so the time budget is what ran out
+            (0.5, 4, 2),
+        ],
+    )
+    def test_time_budget_cancels_compiles_not_yet_started(
+        self, tmp_path, scripted, seconds, candidates, compiled
+    ):
+        compiler = CompilerConfig(
+            binary_path=scripted("slow", "sleep 1\nexit 0\n"),
+            kind="scripted-fake", timeout_secs=5.0,
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "many.rs").write_text(
+            "fn main() { let v = [1, 2]; f(v[0]); g(3); }\n", encoding="utf-8"
+        )
+        backend = MockBackend([f"call_{i}()" for i in range(9)])
+        cfg = CampaignConfig(
+            corpus_dir=corpus,
+            out_dir=tmp_path / "out",
+            compilers=[compiler],
+            infill=InfillConfig(backend=backend),
+            budget_seconds=seconds,
+            budget_candidates=candidates,
+            workers=2,
+            skip_preflight=True,
+        )
+        report = run_campaign(cfg)
+        assert report.budget_exhausted == "seconds"
+        assert report.candidates_compiled == compiled
+        assert report.outcomes["pass"] == compiled
+        assert report.elapsed_seconds < seconds + 1.1
+
     def test_echo_backend_stalls_instead_of_spinning(
         self, corpus_dir, tmp_path, trigger_compiler
     ):
@@ -346,21 +394,205 @@ class TestConfigValidation:
 
 
 class TestDeterminismAcrossWorkers:
+    FILLS = [
+        "ok_one()", "0xBUG boom()", "ok_two()", "ERRMARK bad()",
+        "ok_three()", "ok_four()", "ok_five()",
+    ]
+
+    def run_with(self, tmp_path, compiler, workers, monkeypatch):
+        """One campaign on a managed corpus; returns everything that
+        must not depend on the worker count."""
+        root = tmp_path / f"w{workers}"
+        corpus = Corpus()
+        for text in (SEED_MAIN, SEED_HELPER, SEED_FEATURE):
+            corpus.add_entry(text, "test-suite")
+        corpus.attach(root / "corpus")
+
+        ledger = []  # seed draws, infill sizes and outcomes, in order
+        cloze, infill, classify = campaign.cloze, campaign.infill, campaign.classify
+
+        def logged_cloze(text, seed_id):
+            ledger.append(("seed", seed_id))
+            return cloze(text, seed_id)
+
+        def logged_infill(*args):
+            results = infill(*args)
+            ledger.append(("infill", len(results)))
+            return results
+
+        def logged_classify(*args):
+            kind = classify(*args)
+            ledger.append(("outcome", kind.value))
+            return kind
+
+        monkeypatch.setattr(campaign, "cloze", logged_cloze)
+        monkeypatch.setattr(campaign, "infill", logged_infill)
+        monkeypatch.setattr(campaign, "classify", logged_classify)
+        cfg = make_config(
+            root / "corpus", root, compiler, list(self.FILLS),
+            budget=49, workers=workers, seed=3,
+        )
+        report = run_campaign(cfg).to_dict()
+        monkeypatch.undo()
+        for volatile in ("generated_at", "elapsed_seconds", "corpus_dir"):
+            report.pop(volatile)
+        bundles = {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted((root / "out" / "bugs").rglob("*"))
+            if path.is_file()
+        }
+        feedback = [
+            (e.id, e.source_text)
+            for e in Corpus.open(root / "corpus").entries()
+            if e.provenance == "fuzzer-feedback"
+        ]
+        # how infill interleaves with outcomes depends on the worker
+        # count; the order within each kind and each seed's outcomes do not
+        draws = [entry for entry in ledger if entry[0] != "outcome"]
+        per_draw = []
+        for tag, value in ledger:
+            if tag == "seed":
+                per_draw.append([])
+            elif tag == "outcome":
+                per_draw[-1].append(value)
+        return report, bundles, feedback, draws, per_draw
+
     def test_worker_count_does_not_change_results(
-        self, corpus_dir, tmp_path, trigger_compiler
+        self, tmp_path, trigger_compiler, monkeypatch
     ):
-        fills = ["ok_one()", "0xBUG boom()", "ok_two()", "ERRMARK bad()"]
-        reports = []
-        for workers, sub in ((1, "w1"), (4, "w4")):
-            cfg = make_config(
-                corpus_dir, tmp_path / sub, trigger_compiler, list(fills),
-                budget=12, workers=workers,
-            )
-            reports.append(run_campaign(cfg).to_dict())
-        for r in reports:
-            for volatile in ("generated_at", "elapsed_seconds"):
-                r.pop(volatile)
-        assert reports[0] == reports[1]
+        runs = [
+            self.run_with(tmp_path, trigger_compiler, workers, monkeypatch)
+            for workers in (1, 2, 4)
+        ]
+        report, bundles, feedback, draws, per_draw = runs[0]
+        # the inputs exercise what concurrency could reorder
+        assert report["candidates_compiled"] == 49
+        assert report["candidates_generated"] > 49  # budget lands mid-variant
+        assert max(n for tag, n in draws if tag == "infill") > 1
+        assert feedback and bundles
+        assert any("ice" in outcomes[:-1] for outcomes in per_draw)  # mid-seed
+        for other in runs[1:]:
+            assert other == runs[0]
+
+    def test_workers_are_kept_busy(self, tmp_path, scripted):
+        # passes only when another compile overlaps it; alone it polls
+        # for 2 s and then rejects, so serial compiles never pass
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        body = f"""
+        dir="{markers}"
+        finished=" $(ls "$dir" | sed -n 's/^done-//p' | tr '\\n' ' ') "
+        me=$(mktemp "$dir/start-XXXXXX")
+        me=${{me##*/start-}}
+        seen=
+        i=0
+        while [ $i -lt 20 ]; do
+          for f in "$dir"/start-*; do
+            id=${{f##*/start-}}
+            [ "$id" = "$me" ] && continue
+            case "$finished" in *" $id "*) ;; *) seen=1 ;; esac
+          done
+          [ -n "$seen" ] && [ $i -ge 3 ] && break
+          sleep 0.1
+          i=$((i + 1))
+        done
+        touch "$dir/done-$me"
+        [ -n "$seen" ] && exit 0
+        echo "error: no peer compile ran alongside this one" >&2
+        exit 1
+        """
+        compiler = CompilerConfig(
+            binary_path=scripted("peer", body), kind="scripted-fake",
+            timeout_secs=3.0,
+        )
+        # one seed with more masks than the budget, so the campaign ends
+        # inside it and the last compile still has a peer
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "many.rs").write_text(
+            "fn main() { let v = [1, 2]; f(v[0]); g(3); }\n", encoding="utf-8"
+        )
+        cfg = make_config(
+            corpus, tmp_path, compiler, [f"call_{i}()" for i in range(9)],
+            budget=4, workers=2, skip_preflight=True,
+        )
+        report = run_campaign(cfg)
+        assert report.seeds_sampled == 1
+        assert report.outcomes == {"pass": 4, "reject": 0, "ice": 0, "hang": 0}
+
+    def test_bug_store_failure_with_compiles_in_flight(
+        self, tmp_path, scripted, monkeypatch
+    ):
+        body = """
+        for a in "$@"; do src="$a"; done
+        if grep -q "0xBUG" "$src"; then
+          echo "error: internal compiler error: seeded" >&2
+          exit 101
+        fi
+        sleep 0.5
+        exit 0
+        """
+        work = tmp_path / "work"
+        work.mkdir()
+        compiler = CompilerConfig(
+            binary_path=scripted("slow_ice", body), kind="scripted-fake",
+            timeout_secs=5.0, workdir_root=str(work),
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "feature.rs").write_text(SEED_FEATURE, encoding="utf-8")
+
+        def broken(self, sig, case_text):
+            raise BugStoreError("journal write failed: disk full")
+
+        monkeypatch.setattr(BugStore, "record_if_new", broken)
+        cfg = make_config(
+            corpus, tmp_path, compiler,
+            ["0xBUG boom()", "slow_1()", "slow_2()", "slow_3()"],
+            budget=20, workers=2, skip_preflight=True,
+        )
+        with pytest.raises(CampaignAbortedError) as exc_info:
+            run_campaign(cfg)
+        partial = exc_info.value.partial_report
+        assert partial is not None
+        assert partial.outcomes["ice"] == 1
+        assert partial.candidates_compiled == 1
+        assert (tmp_path / "out" / "report.json").is_file()
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("clozefuzz-")
+        ]
+        assert not list(work.glob("clozefuzz-*"))
+
+    def test_interrupt_with_compiles_in_flight(self, tmp_path, scripted, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        compiler = CompilerConfig(
+            binary_path=scripted("slow", "sleep 0.3\nexit 0\n"),
+            kind="scripted-fake", timeout_secs=5.0, workdir_root=str(work),
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "feature.rs").write_text(SEED_FEATURE, encoding="utf-8")
+        classify = campaign.classify
+
+        def interrupted(*args):
+            if interrupted.calls == 1:
+                raise KeyboardInterrupt
+            interrupted.calls += 1
+            return classify(*args)
+
+        interrupted.calls = 0
+        monkeypatch.setattr(campaign, "classify", interrupted)
+        cfg = make_config(
+            corpus, tmp_path, compiler, [f"call_{i}()" for i in range(9)],
+            budget=20, workers=2, skip_preflight=True,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(cfg)
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("clozefuzz-")
+        ]
+        assert not list(work.glob("clozefuzz-*"))
 
 
 class TestReportBugUnit:

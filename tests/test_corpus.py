@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import TRIGGER_BODY
@@ -172,6 +173,33 @@ def test_preflight_keeps_pass_and_reject_only(scripted, tmp_path):
     assert kept_ids == {ok_id, rej_id}
     rejected = dict(kept.preflight_rejections)
     assert rejected == {ice_id: "ice", hang_id: "hang"}
+
+
+def test_preflight_on_a_pool_keeps_entry_order(scripted):
+    # earlier seeds nap longer, so the compiles finish in reverse order
+    body = """
+    for a in "$@"; do src="$a"; done
+    sleep "$(sed -n 's/.*nap \\([0-9.]*\\).*/\\1/p' "$src")"
+    if grep -q "0xBUG" "$src"; then
+      echo "error: internal compiler error: seeded" >&2
+      exit 101
+    fi
+    exit 0
+    """
+    cfg = CompilerConfig(
+        binary_path=scripted("napper", body), kind="scripted-fake", timeout_secs=5.0
+    )
+    corpus = Corpus()
+    ids = [
+        corpus.add_entry(f"fn f{i}() {{}} // nap 0.{4 - i}{mark}", "user-supplied")[0]
+        for i, mark in enumerate(["", " 0xBUG", "", " 0xBUG", ""])
+    ]
+    serial = preflight_filter(corpus, cfg)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pooled = preflight_filter(corpus, cfg, pool.map)
+    for kept in (serial, pooled):
+        assert [e.id for e in kept.entries()] == [ids[0], ids[2], ids[4]]
+        assert kept.preflight_rejections == [(ids[1], "ice"), (ids[3], "ice")]
 
 
 def test_preflight_missing_compiler_fails_before_compiling():

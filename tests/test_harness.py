@@ -18,7 +18,6 @@ from clozefuzz.harness import (
     TRUNCATION_MARKER,
     CompilerConfig,
     HarnessError,
-    compile_many,
     compile_program,
     ensure_compiler,
     time_passes,
@@ -100,6 +99,23 @@ def test_stream_cap_truncates_large_output(scripted):
     assert len(outcome.stdout) <= STREAM_CAP + len(TRUNCATION_MARKER)
 
 
+def test_stream_cap_counts_bytes_of_multibyte_output(scripted):
+    # 2 MB of a two-byte character: a cap applied to characters would
+    # keep twice the byte budget
+    body = f"""
+    yes 'é' | tr -d '\\n' | head -c {STREAM_CAP * 2} >&2
+    exit 1
+    """
+    cfg = fake_cfg(scripted("accents", body))
+    outcome = compile_program("fn main() {}", cfg)
+    assert outcome.stderr.endswith(TRUNCATION_MARKER)
+    kept = outcome.stderr[: -len(TRUNCATION_MARKER)]
+    assert set(kept) == {"é"}
+    assert len(outcome.stderr.encode("utf-8")) <= STREAM_CAP + len(
+        TRUNCATION_MARKER.encode("utf-8")
+    )
+
+
 def test_environment_is_allowlisted(scripted, monkeypatch):
     monkeypatch.setenv("SECRET_TOKEN_FOR_TEST", "leaky")
     body = """
@@ -150,13 +166,6 @@ def test_keep_artifacts_preserves_workdir(scripted, tmp_path):
     from pathlib import Path
 
     assert (Path(outcome.workdir) / "input.rs").read_text() == "fn kept() {}"
-
-
-def test_compile_many_preserves_order(scripted):
-    cfg = fake_cfg(scripted("trig", TRIGGER_BODY), timeout_secs=5.0)
-    programs = ["fn a() {}", "fn b() { 0xBUG }", "fn c() {}"]
-    outcomes = compile_many(programs, cfg, workers=3)
-    assert [o.exit_status for o in outcomes] == [0, 101, 0]
 
 
 def test_time_passes_parses_entries_and_truncation(scripted):
