@@ -8,6 +8,9 @@ candidates. Results are committed in the order their compiles were
 issued, and all of a seed's results are committed before the next
 seed is drawn. Counts, bundles and feedback seeds are therefore the
 same for every worker count.
+
+``triage`` is the one oracle path: the campaign and the ``spe``
+baseline both classify, sign and journal every compile through it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import shlex
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, CorpusError, load_corpus, preflight_filter
 from .harness import (
+    CompileOutcome,
     CompilerConfig,
     HarnessError,
     compile_program,
@@ -34,7 +38,6 @@ from .harness import (
 from .infill import BackendError, InfillConfig, InfillResult, infill
 from .masking import cloze, render
 from .oracle import (
-    HANG_TAIL_LENGTH,
     BugKind,
     BugSignature,
     BugStore,
@@ -70,8 +73,6 @@ class CampaignConfig:
     seed: int = 0
     workers: int = 1
     skip_preflight: bool = False
-    oracle_patterns: dict | None = None
-    hang_tail_length: int = HANG_TAIL_LENGTH
 
     def __post_init__(self) -> None:
         if not self.compilers:
@@ -117,31 +118,7 @@ class CampaignReport:
     per_seed: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "generated_at": self.generated_at,
-            "elapsed_seconds": self.elapsed_seconds,
-            "seed": self.seed,
-            "corpus_dir": self.corpus_dir,
-            "compilers": self.compilers,
-            "backend_id": self.backend_id,
-            "budgets": self.budgets,
-            "budget_exhausted": self.budget_exhausted,
-            "stalled": self.stalled,
-            "aborted": self.aborted,
-            "corpus_size_initial": self.corpus_size_initial,
-            "corpus_size_final": self.corpus_size_final,
-            "preflight_rejected": self.preflight_rejected,
-            "seeds_sampled": self.seeds_sampled,
-            "variants_masked": self.variants_masked,
-            "candidates_generated": self.candidates_generated,
-            "candidates_compiled": self.candidates_compiled,
-            "outcomes": self.outcomes,
-            "interesting": self.interesting,
-            "duplicate": self.duplicate,
-            "infill_errors": self.infill_errors,
-            "bundles": self.bundles,
-            "per_seed": self.per_seed,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [
@@ -179,11 +156,38 @@ class CampaignReport:
         (out / "report.txt").write_text(self.to_text(), encoding="utf-8")
 
 
-def _load_campaign_corpus(corpus_dir: str | Path) -> Corpus:
-    root = Path(corpus_dir)
+def open_corpus(path: str | Path) -> Corpus:
+    """Open a managed corpus, or load a plain directory of seeds as
+    user-supplied."""
+    root = Path(path)
     if (root / "manifest.jsonl").is_file():
         return Corpus.open(root)
     return load_corpus([(root, "user-supplied")])
+
+
+def triage(
+    outcome: CompileOutcome,
+    text: str,
+    target: CompilerConfig,
+    store: BugStore,
+    outcomes: dict[str, int],
+) -> tuple[BugSignature, Novelty] | None:
+    """Classify one compile of ``text`` and count it in ``outcomes``.
+
+    An ICE or a hang is signed (a hang after a pass-timing rerun) and
+    journalled in ``store``; the signature and its novelty come back.
+    A pass or a reject returns None. The outcome is counted before the
+    journal write, so a failing write still leaves it counted. The
+    oracle is reached through this module's names, which the campaign
+    benchmark replaces to record its outcome ledger.
+    """
+    kind = classify(outcome, target.kind)
+    outcomes[kind.value] += 1
+    if kind not in (BugKind.ICE, BugKind.HANG):
+        return None
+    trace = time_passes(text, target) if kind is BugKind.HANG else None
+    sig = signature(outcome, kind, trace)
+    return sig, store.record_if_new(sig, text)
 
 
 def report_bug(
@@ -267,7 +271,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 def _run(
     cfg: CampaignConfig, pool: ThreadPoolExecutor, started: float, out_dir: Path
 ) -> CampaignReport:
-    corpus = _load_campaign_corpus(cfg.corpus_dir)
+    corpus = open_corpus(cfg.corpus_dir)
     initial_size = len(corpus)
     preflight_rejected = 0
     if not cfg.skip_preflight:
@@ -325,17 +329,12 @@ def _run(
         order, so the bug store, bundles and feedback seeds match any
         worker count."""
         report.candidates_compiled += 1
-        kind = classify(outcome, target.kind, cfg.oracle_patterns)
-        report.outcomes[kind.value] += 1
-        if kind not in (BugKind.ICE, BugKind.HANG):
-            return
-        trace = (
-            time_passes(result.candidate_text, target)
-            if kind is BugKind.HANG
-            else None
+        found = triage(
+            outcome, result.candidate_text, target, store, report.outcomes
         )
-        sig = signature(outcome, kind, trace, cfg.hang_tail_length)
-        novelty = store.record_if_new(sig, result.candidate_text)
+        if found is None:
+            return
+        sig, novelty = found
         if novelty is Novelty.DUPLICATE:
             report.duplicate += 1
             return

@@ -27,14 +27,22 @@ from .campaign import (
     CampaignAbortedError,
     CampaignConfig,
     ConfigError,
+    open_corpus,
     run_campaign,
+    triage,
 )
-from .corpus import Corpus, CorpusError, load_corpus
-from .harness import CompileOutcome, CompilerConfig, HarnessError, ensure_compiler
+from .corpus import Corpus, CorpusError
+from .harness import (
+    CompileOutcome,
+    CompilerConfig,
+    HarnessError,
+    compile_program,
+    ensure_compiler,
+)
 from .infill import DEFAULT_SENTINEL, HttpBackend, InfillConfig, backend_from_spec
 from .masking import cloze, render
 from .mining import MiningError, harvest
-from .oracle import BugKind, BugStore, classify, signature
+from .oracle import BugKind, BugStore, Novelty, classify, signature
 from .spe import (
     ENUMERATION_THRESHOLD,
     SAMPLE_SIZE,
@@ -68,13 +76,6 @@ def _merged(args: argparse.Namespace, config: dict, key: str, fallback):
     if key in config:
         return config[key]
     return fallback
-
-
-def _open_corpus(path: str) -> Corpus:
-    root = Path(path)
-    if (root / "manifest.jsonl").is_file():
-        return Corpus.open(root)
-    return load_corpus([(root, "user-supplied")])
 
 
 def _read_text_arg(path: str, what: str) -> str:
@@ -200,7 +201,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    corpus = _open_corpus(args.corpus)
+    corpus = open_corpus(args.corpus)
     try:
         cfg = AugmentConfig(
             delete_prob=args.delete_prob,
@@ -218,13 +219,16 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_spe(args: argparse.Namespace) -> int:
-    corpus = _open_corpus(args.corpus)
+    target = _compiler_from_args(args, {}) if args.compiler else None
+    if target is not None:
+        ensure_compiler(target)
+    corpus = open_corpus(args.corpus)
     out = Path(args.out)
     candidates_dir = out / "candidates"
     candidates_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
 
-    generated: list[tuple[str, Path]] = []
+    generated: list[str] = []
     over_threshold = 0
     for entry in corpus.entries():
         skeleton = extract_variables(entry.source_text)
@@ -238,7 +242,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
         for i, text in enumerate(texts):
             path = candidates_dir / f"{entry.id}_p{i:04d}.rs"
             path.write_text(text, encoding="utf-8")
-            generated.append((entry.id, path))
+        generated.extend(texts)
 
     summary = {
         "seeds": len(corpus),
@@ -246,34 +250,20 @@ def cmd_spe(args: argparse.Namespace) -> int:
         "programs_generated": len(generated),
     }
 
-    if args.compiler:
-        target = CompilerConfig(
-            binary_path=args.compiler,
-            kind=args.compiler_kind,
-            extra_flags=tuple(shlex.split(args.flags)) if args.flags else None,
-            timeout_secs=args.timeout,
-        )
-        ensure_compiler(target)
-        from .harness import compile_program, time_passes
-
+    if target is not None:
         store = BugStore(out / "bugstore")
-        counts = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
-        interesting = duplicate = 0
-        for _seed_id, path in generated:
-            text = path.read_text(encoding="utf-8")
+        outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
+        novelty = dict.fromkeys(Novelty, 0)
+        for text in generated:
             outcome = compile_program(text, target)
-            kind = classify(outcome, target.kind)
-            counts[kind.value] += 1
-            if kind in (BugKind.ICE, BugKind.HANG):
-                trace = time_passes(text, target) if kind is BugKind.HANG else None
-                sig = signature(outcome, kind, trace)
-                if store.record_if_new(sig, text).value == "interesting":
-                    interesting += 1
-                else:
-                    duplicate += 1
-        summary.update(counts)
-        summary["interesting"] = interesting
-        summary["duplicate"] = duplicate
+            found = triage(outcome, text, target, store, outcomes)
+            if found is not None:
+                novelty[found[1]] += 1
+        summary.update(
+            outcomes,
+            interesting=novelty[Novelty.INTERESTING],
+            duplicate=novelty[Novelty.DUPLICATE],
+        )
 
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -72,7 +72,6 @@ class CompilerConfig:
     kind: str = "rustc"
     extra_flags: tuple[str, ...] | None = None
     timeout_secs: float = 180.0
-    keep_artifacts: bool = False
     workdir_root: str | None = None
     env_overrides: dict[str, str] = field(default_factory=dict)
 
@@ -104,7 +103,6 @@ class CompileOutcome:
     wall_time: float
     timed_out: bool
     artifact_present: bool
-    workdir: str | None = None  # populated only when artifacts are kept
 
 
 @dataclass
@@ -204,10 +202,8 @@ def compile_program(
         wall_time=wall,
         timed_out=timed_out,
         artifact_present=artifact_present,
-        workdir=workdir if cfg.keep_artifacts else None,
     )
-    if not cfg.keep_artifacts:
-        shutil.rmtree(workdir, ignore_errors=True)
+    shutil.rmtree(workdir, ignore_errors=True)
     return outcome
 
 

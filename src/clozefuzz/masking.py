@@ -40,10 +40,6 @@ class MaskedVariant:
         lo, hi = self.span.interior
         return self.source[lo:hi]
 
-    @property
-    def seed_text(self) -> str:
-        return self.source
-
 
 def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
     """Character ranges of feature-gate attributes, in textual order.

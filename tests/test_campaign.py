@@ -621,3 +621,52 @@ class TestReportBugUnit:
         ref = (bundle / "seed-ref.txt").read_text()
         assert "seed_id: ghost" in ref
         assert "content_hash: unknown" in ref
+
+
+class TestHookPoints:
+    """The campaign benchmark counts compiles and builds its outcome
+    ledger by replacing these ``campaign`` module attributes; each must
+    stay the one route to its work."""
+
+    HOOKED = (
+        "classify", "signature", "compile_program", "cloze", "time_passes",
+        "report_bug", "preflight_filter", "load_corpus",
+    )
+
+    def test_every_compile_goes_through_the_hooked_names(
+        self, corpus_dir, tmp_path, scripted, monkeypatch
+    ):
+        calls = dict.fromkeys(self.HOOKED, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in self.HOOKED:
+            monkeypatch.setattr(
+                campaign, name, counting(name, getattr(campaign, name))
+            )
+        compiler = CompilerConfig(
+            binary_path=scripted("trigger", TRIGGER_BODY),
+            kind="scripted-fake",
+            timeout_secs=0.3,
+        )
+        # preflight stays on: its compiles must not reach the hooks
+        cfg = make_config(
+            corpus_dir, tmp_path, compiler,
+            ["0xBUG boom()", "SLOWMARK spin()", "ok()"], budget=4,
+        )
+        report = run_campaign(cfg)
+
+        assert report.outcomes == {"pass": 1, "reject": 0, "ice": 2, "hang": 1}
+        assert calls["classify"] == report.candidates_compiled == 4
+        assert calls["compile_program"] == report.candidates_compiled
+        assert calls["signature"] == report.outcomes["ice"] + report.outcomes["hang"]
+        assert calls["time_passes"] == report.outcomes["hang"]
+        assert calls["report_bug"] == report.interesting == 2
+        assert calls["cloze"] == report.seeds_sampled
+        assert calls["preflight_filter"] == 1
+        assert calls["load_corpus"] == 1

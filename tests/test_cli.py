@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import TRIGGER_BODY
+from conftest import ICE_BODY, TRIGGER_BODY
 
 import clozefuzz
 from clozefuzz.cli import main
@@ -38,6 +38,18 @@ def mock_script(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+FUZZ_REPORT_KEYS = {
+    "generated_at", "elapsed_seconds", "seed", "corpus_dir", "compilers",
+    "backend_id", "budgets", "budget_exhausted", "stalled", "aborted",
+    "corpus_size_initial", "corpus_size_final", "preflight_rejected",
+    "seeds_sampled", "variants_masked", "candidates_generated",
+    "candidates_compiled", "outcomes", "interesting", "duplicate",
+    "infill_errors", "bundles", "per_seed",
+}
+SPE_REPORT_KEYS = {"seeds", "seeds_over_threshold", "programs_generated"}
+SPE_TRIAGE_KEYS = {"pass", "reject", "ice", "hang", "interesting", "duplicate"}
 
 
 def fuzz_args(corpus_dir, trigger_bin, mock_script, out, *extra):
@@ -186,6 +198,19 @@ class TestFuzzCommand:
         assert rc == 3
         assert "aborted" in capsys.readouterr().err
 
+    def test_report_keys_are_the_report_fields(
+        self, corpus_dir, trigger_bin, mock_script, tmp_path
+    ):
+        rc = main(
+            fuzz_args(
+                corpus_dir, trigger_bin, mock_script, tmp_path / "out",
+                "--budget-candidates", "2",
+            )
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report) == FUZZ_REPORT_KEYS
+
 
 class TestMineCommand:
     @pytest.fixture
@@ -289,7 +314,21 @@ class TestAugmentCommand:
         assert rc == 1
 
 
+def spe_args(corpus_dir, out, *extra):
+    return ["spe", "--corpus", str(corpus_dir), "--out", str(out), *extra]
+
+
 class TestSpeCommand:
+    @pytest.fixture
+    def spe_corpus(self, tmp_path):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        # three variables, six orderings: five permuted programs
+        (d / "three.rs").write_text(
+            "fn f() { let a = 1; let b = 2; let c = 3; }\n", encoding="utf-8"
+        )
+        return d
+
     def test_generate_and_triage(self, tmp_path, trigger_bin, capsys):
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
@@ -297,16 +336,15 @@ class TestSpeCommand:
             "fn f() { let a = 1; let b = 2; }\n", encoding="utf-8"
         )
         rc = main(
-            [
-                "spe",
-                "--corpus", str(corpus_dir),
-                "--out", str(tmp_path / "out"),
+            spe_args(
+                corpus_dir, tmp_path / "out",
                 "--compiler", str(trigger_bin),
                 "--compiler-kind", "scripted-fake",
-            ]
+            )
         )
         assert rc == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
         assert report["seeds"] == 1
         assert report["programs_generated"] == 1
         assert report["pass"] == 1
@@ -315,6 +353,55 @@ class TestSpeCommand:
         assert len(variants) == 1
         assert variants[0].read_text() == "fn f() { let b = 1; let a = 2; }\n"
         assert "programs_generated: 1" in capsys.readouterr().out
+
+    def test_generate_only_report_keys(self, spe_corpus, tmp_path):
+        assert main(spe_args(spe_corpus, tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report) == SPE_REPORT_KEYS
+        assert not (tmp_path / "out" / "bugstore").exists()
+
+    def test_same_ice_is_one_finding(self, spe_corpus, tmp_path, scripted):
+        out = tmp_path / "out"
+        rc = main(
+            spe_args(
+                spe_corpus, out,
+                "--compiler", scripted("ice", ICE_BODY),
+                "--compiler-kind", "scripted-fake",
+            )
+        )
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        generated = report["programs_generated"]
+        assert generated == 5
+        assert report["ice"] == generated
+        assert report["interesting"] == 1
+        assert report["duplicate"] == generated - 1
+        journal = (out / "bugstore" / "signatures.jsonl").read_text()
+        assert len(journal.splitlines()) == 1
+
+    def test_bad_timeout_is_a_config_error(
+        self, spe_corpus, tmp_path, trigger_bin, capsys
+    ):
+        rc = main(
+            spe_args(
+                spe_corpus, tmp_path / "out",
+                "--compiler", str(trigger_bin),
+                "--timeout", "0",
+            )
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("out/candidates/*.rs"))
+
+    def test_missing_compiler_fails_before_generating(
+        self, spe_corpus, tmp_path, capsys
+    ):
+        rc = main(
+            spe_args(spe_corpus, tmp_path / "out", "--compiler", "/no/such/rustc")
+        )
+        assert rc == 2
+        assert "environment error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/candidates/*.rs"))
 
 
 class TestDebugCommands:

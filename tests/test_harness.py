@@ -155,19 +155,6 @@ def test_env_overrides_reach_the_compiler(scripted):
     assert "bt=[full]" in outcome.stdout
 
 
-def test_keep_artifacts_preserves_workdir(scripted, tmp_path):
-    cfg = fake_cfg(
-        scripted("ok2", OK_BODY),
-        keep_artifacts=True,
-        workdir_root=str(tmp_path),
-    )
-    outcome = compile_program("fn kept() {}", cfg)
-    assert outcome.workdir is not None
-    from pathlib import Path
-
-    assert (Path(outcome.workdir) / "input.rs").read_text() == "fn kept() {}"
-
-
 def test_time_passes_parses_entries_and_truncation(scripted):
     cfg = fake_cfg(scripted("tp", TIMEPASS_HANG_BODY), timeout_secs=1.0)
     trace = time_passes("fn main() {}", cfg)

@@ -24,7 +24,7 @@ def test_round_trip_identity_for_every_variant():
     for text in fixture_corpus_texts():
         for variant in cloze(text):
             assert variant.prefix + variant.original_interior + variant.suffix == text
-            assert variant.seed_text == text
+            assert variant.source == text
 
 
 def test_render_keeps_delimiters_and_substitutes_interior():
