@@ -174,8 +174,9 @@ def triage(
 ) -> tuple[BugSignature, Novelty] | None:
     """Classify one compile of ``text`` and count it in ``outcomes``.
 
-    An ICE or a hang is signed (a hang after a pass-timing rerun) and
-    journalled in ``store``; the signature and its novelty come back.
+    An ICE or a hang is signed (a hang by the pass-timing lines its
+    own compile printed before the timeout) and journalled in
+    ``store``; the signature and its novelty come back.
     A pass or a reject returns None. The outcome is counted before the
     journal write, so a failing write still leaves it counted. The
     oracle is reached through this module's names, which the campaign
@@ -185,7 +186,7 @@ def triage(
     outcomes[kind.value] += 1
     if kind not in (BugKind.ICE, BugKind.HANG):
         return None
-    trace = time_passes(text, target) if kind is BugKind.HANG else None
+    trace = time_passes(outcome) if kind is BugKind.HANG else None
     sig = signature(outcome, kind, trace)
     return sig, store.record_if_new(sig, text)
 

@@ -6,8 +6,8 @@ spans and mask (debug views of bracket extraction), classify (offline
 triage of a captured compiler run).
 
 Exit codes: 0 success, 1 configuration error, 2 environment error
-(missing binary, unreachable service, unreadable corpus), 3 campaign
-aborted mid-run.
+(missing binary, unreachable service, unreadable corpus), 3 fuzz or
+spe run aborted mid-run.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .harness import (
     HarnessError,
     compile_program,
     ensure_compiler,
+    time_passes,
 )
 from .infill import DEFAULT_SENTINEL, HttpBackend, InfillConfig, backend_from_spec
 from .masking import cloze, render
@@ -250,12 +251,18 @@ def cmd_spe(args: argparse.Namespace) -> int:
         "programs_generated": len(generated),
     }
 
+    aborted = None
     if target is not None:
         store = BugStore(out / "bugstore")
         outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
         novelty = dict.fromkeys(Novelty, 0)
         for text in generated:
-            outcome = compile_program(text, target)
+            try:
+                outcome = compile_program(text, target)
+            except HarnessError as exc:
+                # compiler vanished mid-run: report the tallies so far
+                aborted = f"compiler unavailable mid-run: {exc}"
+                break
             found = triage(outcome, text, target, store, outcomes)
             if found is not None:
                 novelty[found[1]] += 1
@@ -271,6 +278,9 @@ def cmd_spe(args: argparse.Namespace) -> int:
     lines = [f"{k}: {v}" for k, v in sorted(summary.items())]
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
+    if aborted:
+        print(f"spe aborted: {aborted}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -315,7 +325,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     kind = classify(outcome, args.compiler_kind)
     result = {"kind": kind.value}
     if kind in (BugKind.ICE, BugKind.HANG):
-        sig = signature(outcome, kind)
+        trace = time_passes(outcome) if kind is BugKind.HANG else None
+        sig = signature(outcome, kind, trace)
         result["digest"] = sig.digest
         result["payload"] = sig.payload_dict()
     print(json.dumps(result, indent=2, sort_keys=True))

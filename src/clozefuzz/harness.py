@@ -2,7 +2,10 @@
 
 Runs a compiler on candidate programs in throwaway directories, with a
 hard wall-clock limit, process-group cleanup, and capped output
-capture. Also drives pass-timing runs for hang localization.
+capture. Output printed before a timeout is kept, so ``time_passes``
+can locate a hang from the pass-timing lines of the compile that timed
+out (rustc prints them under ``-Ztime-passes``, which callers opt into
+through the compiler flags) without compiling the program again.
 
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
@@ -10,7 +13,6 @@ stand-in executable used by the test suite and for offline dry runs).
 
 from __future__ import annotations
 
-import logging
 import os
 import shutil
 import signal
@@ -20,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-logger = logging.getLogger(__name__)
-
 COMPILER_KINDS = ("rustc", "mrustc", "scripted-fake")
 
 # rustc stopped accepting -O0 long ago; opt-level=0 is the spelling
@@ -30,12 +30,6 @@ DEFAULT_FLAGS: dict[str, tuple[str, ...]] = {
     "rustc": ("-C", "opt-level=0"),
     "mrustc": (),
     "scripted-fake": ("-O0",),
-}
-
-PASS_TIMING_FLAGS: dict[str, tuple[str, ...]] = {
-    "rustc": ("-Ztime-passes",),
-    "scripted-fake": ("-Ztime-passes",),
-    # mrustc has no pass-timing switch
 }
 
 STREAM_CAP = 1 << 20  # bytes kept per stream
@@ -86,9 +80,10 @@ class CompilerConfig:
             self.extra_flags = tuple(self.extra_flags)
 
     def resolved_binary(self) -> str:
-        path = Path(self.binary_path)
-        if path.is_file():
-            return str(path)
+        if Path(self.binary_path).is_file():
+            # absolute, because compiles run from a scratch directory;
+            # not resolved, because a rustup shim dispatches on its name
+            return os.path.abspath(self.binary_path)
         found = shutil.which(self.binary_path)
         if found:
             return found
@@ -103,14 +98,6 @@ class CompileOutcome:
     wall_time: float
     timed_out: bool
     artifact_present: bool
-
-
-@dataclass
-class TimePassesTrace:
-    entries: list[tuple[str, float]] = field(default_factory=list)
-    truncated: bool = False
-    malformed_lines: int = 0
-    warning: str | None = None
 
 
 def ensure_compiler(cfg: CompilerConfig) -> str:
@@ -152,23 +139,20 @@ def _kill_process_group(proc: subprocess.Popen) -> None:
         pass
 
 
-def compile_program(
-    program: str, cfg: CompilerConfig, flags: tuple[str, ...] | None = None
-) -> CompileOutcome:
+def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     """Compile one program text and report what happened.
 
     Each run gets a fresh scratch directory holding input.rs; the
     compiler runs there so object files and temporaries stay contained.
     On timeout the whole process group is killed, so rustc's child
-    processes do not linger.
+    processes do not linger, and what it printed until then is kept.
     """
     binary = ensure_compiler(cfg)
-    use_flags = cfg.extra_flags if flags is None else flags
     workdir = tempfile.mkdtemp(prefix="clozefuzz-", dir=cfg.workdir_root)
     input_path = Path(workdir) / "input.rs"
     input_path.write_text(program, encoding="utf-8")
 
-    cmd = [binary, *use_flags, "input.rs"]
+    cmd = [binary, *cfg.extra_flags, "input.rs"]
     started = time.monotonic()
     timed_out = False
     try:
@@ -207,48 +191,23 @@ def compile_program(
     return outcome
 
 
-def _parse_pass_lines(text: str, trace: TimePassesTrace) -> None:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped.startswith("time:"):
+def time_passes(outcome: CompileOutcome) -> list[tuple[str, float]]:
+    """The ``(pass name, seconds)`` entries a compile printed, in order.
+
+    Reads the ``time:`` lines of ``-Ztime-passes`` from the captured
+    stdout and stderr; lines that do not parse are skipped. A compile
+    run without pass timing yields an empty list.
+    """
+    entries: list[tuple[str, float]] = []
+    for line in (outcome.stdout + "\n" + outcome.stderr).splitlines():
+        parts = line.split()
+        if len(parts) < 3 or parts[0] != "time:":
             continue
-        parts = stripped.split()
-        if len(parts) < 3:
-            trace.malformed_lines += 1
-            continue
-        secs_text = parts[1].rstrip(";").rstrip("s")
         try:
-            secs = float(secs_text)
+            secs = float(parts[1].rstrip(";").rstrip("s"))
         except ValueError:
-            trace.malformed_lines += 1
             continue
         # modern rustc wedges an rss segment between seconds and the
         # pass name; the name is always the last field either way
-        trace.entries.append((parts[-1], secs))
-
-
-def time_passes(program: str, cfg: CompilerConfig) -> TimePassesTrace:
-    """Run the compiler with pass timing enabled and parse the trace.
-
-    Returns whatever passes were observed; a timeout marks the trace
-    truncated, and an unsupported flag degrades to an empty trace with
-    a capability warning rather than an error.
-    """
-    trace = TimePassesTrace()
-    timing_flags = PASS_TIMING_FLAGS.get(cfg.kind)
-    if timing_flags is None:
-        trace.warning = f"pass timing not supported for compiler kind {cfg.kind!r}"
-        logger.warning(trace.warning)
-        return trace
-
-    outcome = compile_program(program, cfg, flags=cfg.extra_flags + timing_flags)
-    _parse_pass_lines(outcome.stdout, trace)
-    _parse_pass_lines(outcome.stderr, trace)
-    trace.truncated = outcome.timed_out
-    if not trace.entries and not outcome.timed_out and outcome.exit_status != 0:
-        trace.warning = (
-            "pass timing produced no entries; the flag may be unsupported "
-            "by this compiler build"
-        )
-        logger.warning(trace.warning)
-    return trace
+        entries.append((parts[-1], secs))
+    return entries

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .harness import CompileOutcome, TimePassesTrace
+from .harness import CompileOutcome
 
 logger = logging.getLogger(__name__)
 
@@ -144,11 +144,11 @@ def _backtrace_frames(stderr: str) -> list[str]:
     return frames
 
 
-def _hang_tail(trace: TimePassesTrace | None, k: int) -> list[str]:
-    if trace is None or not trace.entries:
+def _hang_tail(trace: list[tuple[str, float]] | None, k: int) -> list[str]:
+    if not trace:
         return [NO_PASSES_MARKER]
     tail: list[str] = []
-    for name, _secs in reversed(trace.entries):
+    for name, _secs in reversed(trace):
         if name not in tail:
             tail.append(name)
         if len(tail) == k:
@@ -175,14 +175,15 @@ def _digest_payload(payload: dict) -> tuple[str, str]:
 def signature(
     outcome: CompileOutcome,
     kind: BugKind,
-    trace: TimePassesTrace | None = None,
+    trace: list[tuple[str, float]] | None = None,
     tail_length: int = HANG_TAIL_LENGTH,
 ) -> BugSignature:
     """Deduplication signature for an ICE or Hang outcome.
 
     ICE: normalized panic message plus the normalized backtrace frame
-    sequence. Hang: the last ``tail_length`` distinct pass names seen
-    before the clock ran out, or a fixed marker when none were.
+    sequence. Hang: the last ``tail_length`` distinct pass names of
+    ``trace`` (the ``(pass, seconds)`` entries the compile printed
+    before the clock ran out), or a fixed marker when there are none.
     """
     if kind is BugKind.ICE:
         payload = {

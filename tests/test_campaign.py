@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
 import subprocess
 import threading
 
@@ -306,8 +308,45 @@ class TestHangPath:
         )
         assert sig["payload"]["tail"] == ["timeout-no-passes"]
 
+    def test_a_hang_is_compiled_once(self, corpus_dir, tmp_path, scripted):
+        log = tmp_path / "argv.log"
+        body = f'echo "$@" >> "{log}"\nsleep 30\nexit 0\n'
+        compiler = CompilerConfig(
+            binary_path=scripted("logged_hang", body),
+            kind="scripted-fake",
+            timeout_secs=1.0,
+        )
+        cfg = make_config(
+            corpus_dir, tmp_path, compiler, ["anything()"], budget=1,
+            skip_preflight=True,
+        )
+        report = run_campaign(cfg)
+        assert report.outcomes["hang"] == 1
+        assert log.read_text().splitlines() == ["-O0 input.rs"]
+
 
 class TestFailureModes:
+    def test_relative_compiler_path(
+        self, corpus_dir, tmp_path, scripted, monkeypatch
+    ):
+        scripted("trigger", TRIGGER_BODY)
+        monkeypatch.chdir(tmp_path)
+        compiler = CompilerConfig(
+            binary_path="./trigger", kind="scripted-fake", timeout_secs=5.0
+        )
+        cfg = make_config(corpus_dir, tmp_path, compiler, ["0xBUG boom()"], budget=2)
+        report = run_campaign(cfg)
+        assert report.aborted is None
+        assert report.outcomes["ice"] == 2
+        repro = tmp_path / "out" / report.bundles[0] / "repro.sh"
+        binary = shlex.split(repro.read_text().splitlines()[-1])[1]
+        assert os.path.isabs(binary)
+        assert os.path.samefile(binary, tmp_path / "trigger")
+        proc = subprocess.run(
+            [str(repro)], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 101
+
     def test_compiler_vanishing_mid_run_stops_gracefully(
         self, corpus_dir, tmp_path, scripted
     ):

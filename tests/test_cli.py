@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import ICE_BODY, TRIGGER_BODY
+from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY
 
 import clozefuzz
 from clozefuzz.cli import main
@@ -379,6 +379,25 @@ class TestSpeCommand:
         journal = (out / "bugstore" / "signatures.jsonl").read_text()
         assert len(journal.splitlines()) == 1
 
+    def test_compiler_lost_mid_run_keeps_the_report(
+        self, spe_corpus, tmp_path, scripted, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main(
+            spe_args(
+                spe_corpus, out,
+                "--compiler", scripted("self_destruct", 'rm -f "$0"\nexit 0\n'),
+                "--compiler-kind", "scripted-fake",
+            )
+        )
+        assert rc == 3
+        assert "spe aborted: " in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
+        assert report["programs_generated"] == 5
+        assert report["pass"] == 1
+        assert "pass: 1" in (out / "report.txt").read_text()
+
     def test_bad_timeout_is_a_config_error(
         self, spe_corpus, tmp_path, trigger_bin, capsys
     ):
@@ -454,6 +473,17 @@ class TestDebugCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "hang"
         assert out["payload"]["tail"] == ["timeout-no-passes"]
+
+        # the pass lines a timed-out compile printed sign it, as in a campaign
+        pass_lines = [
+            line.split('"')[1]
+            for line in TIMEPASS_HANG_BODY.splitlines()
+            if line.startswith("echo")
+        ]
+        stderr_file.write_text("\n".join(pass_lines) + "\n", encoding="utf-8")
+        assert main(["classify", "--timed-out", "--stderr", str(stderr_file)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["payload"]["tail"] == ["parse_crate", "expand_crate", "type_check"]
 
         assert main(["classify", "--exit-status", "0"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from clozefuzz.harness import CompileOutcome, TimePassesTrace
+from clozefuzz.harness import CompileOutcome
 from clozefuzz.oracle import (
     NO_PASSES_MARKER,
     BugKind,
@@ -173,27 +173,22 @@ class TestSignature:
         )
 
     def test_hang_tail_last_distinct_passes(self):
-        trace = TimePassesTrace(
-            entries=[("parse", 0.1), ("expand", 0.2), ("parse", 0.3), ("mir", 9.0)],
-            truncated=True,
-        )
+        trace = [("parse", 0.1), ("expand", 0.2), ("parse", 0.3), ("mir", 9.0)]
         sig = signature(outcome(timed_out=True), BugKind.HANG, trace=trace)
         assert sig.payload_dict()["tail"] == ["expand", "parse", "mir"]
 
     def test_hang_tail_shorter_trace(self):
-        trace = TimePassesTrace(entries=[("parse", 0.1)], truncated=True)
+        trace = [("parse", 0.1)]
         sig = signature(outcome(timed_out=True), BugKind.HANG, trace=trace)
         assert sig.payload_dict()["tail"] == ["parse"]
 
     def test_hang_without_trace_uses_marker(self):
-        for trace in (None, TimePassesTrace()):
+        for trace in (None, []):
             sig = signature(outcome(timed_out=True), BugKind.HANG, trace=trace)
             assert sig.payload_dict()["tail"] == [NO_PASSES_MARKER]
 
     def test_tail_length_parameter(self):
-        trace = TimePassesTrace(
-            entries=[(f"p{i}", 0.1) for i in range(6)], truncated=True
-        )
+        trace = [(f"p{i}", 0.1) for i in range(6)]
         sig = signature(
             outcome(timed_out=True), BugKind.HANG, trace=trace, tail_length=2
         )
