@@ -23,7 +23,7 @@ from .lexer import Token, TokenKind, lex
 from .masking import MaskedVariant, cloze, render
 from .mining import ExtractedSnippet, IssueRecord, extract_snippets, harvest
 from .oracle import BugKind, BugSignature, BugStore, Novelty, classify, signature
-from .spe import Skeleton, enumerate_fillings, extract_variables, generate_variants
+from .spe import Skeleton, enumerate_fillings, extract_variables
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "extract_variables",
     "find_bracket_pairs",
     "find_spans",
-    "generate_variants",
     "harvest",
     "infill",
     "lex",

@@ -28,7 +28,6 @@ class AugmentConfig:
     delete_prob: float = 0.2
     target_size: int = 100
     seed: int = 0
-    swap_count_rule = staticmethod(default_swap_count)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delete_prob <= 1.0:
@@ -166,7 +165,7 @@ def export_finetune_corpus(
         if attempt % 2 == 0:
             text = random_delete(entry.source_text, cfg.delete_prob, rng)
         else:
-            n = cfg.swap_count_rule(entry.token_count)
+            n = default_swap_count(entry.token_count)
             text, _ = random_swap(entry.source_text, n, rng)
         if text.strip():
             emit(text, "delete" if attempt % 2 == 0 else "swap", entry.id, attempt_seed)

@@ -152,17 +152,6 @@ def find_bracket_pairs(
     return [s for s in _sorted_forest(source, tokens) if s.depth == 0]
 
 
-def flatten_spans(roots: list[BracketSpan]) -> list[BracketSpan]:
-    """Depth-first pre-order flattening of a span forest."""
-    out: list[BracketSpan] = []
-    todo = list(reversed(roots))
-    while todo:
-        span = todo.pop()
-        out.append(span)
-        todo.extend(reversed(span.children))
-    return out
-
-
 def find_spans(source: str, tokens: list[Token] | None = None) -> list[BracketSpan]:
     """Every span of ``find_bracket_pairs`` in depth-first pre-order."""
     return _sorted_forest(source, tokens)

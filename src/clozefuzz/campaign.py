@@ -162,7 +162,7 @@ def open_corpus(path: str | Path) -> Corpus:
     root = Path(path)
     if (root / "manifest.jsonl").is_file():
         return Corpus.open(root)
-    return load_corpus([(root, "user-supplied")])
+    return load_corpus(root)
 
 
 def triage(
@@ -277,8 +277,7 @@ def _run(
     preflight_rejected = 0
     if not cfg.skip_preflight:
         for target in cfg.compilers:
-            corpus = preflight_filter(corpus, target, pool.map)
-            preflight_rejected += len(corpus.preflight_rejections)
+            preflight_rejected += len(preflight_filter(corpus, target, pool.map))
     if len(corpus) == 0:
         raise CorpusError("no usable seeds: corpus is empty after preflight")
 

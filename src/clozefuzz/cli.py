@@ -33,6 +33,7 @@ from .campaign import (
 )
 from .corpus import Corpus, CorpusError
 from .harness import (
+    COMPILER_KINDS,
     CompileOutcome,
     CompilerConfig,
     HarnessError,
@@ -47,8 +48,8 @@ from .oracle import BugKind, BugStore, Novelty, classify, signature
 from .spe import (
     ENUMERATION_THRESHOLD,
     SAMPLE_SIZE,
+    enumerate_fillings,
     extract_variables,
-    generate_variants,
     permutation_count,
 )
 
@@ -233,13 +234,12 @@ def cmd_spe(args: argparse.Namespace) -> int:
     over_threshold = 0
     for entry in corpus.entries():
         skeleton = extract_variables(entry.source_text)
-        if skeleton.occurrences:
-            count = permutation_count(skeleton.occurrences)
-            if count > args.threshold:
-                over_threshold += 1
-        texts = generate_variants(
-            entry.source_text, args.threshold, args.sample_size, rng
-        )
+        if (
+            skeleton.occurrences
+            and permutation_count(skeleton.occurrences) > args.threshold
+        ):
+            over_threshold += 1
+        texts = enumerate_fillings(skeleton, args.threshold, args.sample_size, rng)
         for i, text in enumerate(texts):
             path = candidates_dir / f"{entry.id}_p{i:04d}.rs"
             path.write_text(text, encoding="utf-8")
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--compiler-kind",
         dest="compiler_kind",
-        choices=["rustc", "mrustc", "scripted-fake"],
+        choices=COMPILER_KINDS,
         help="how to interpret compiler output (default rustc)",
     )
     fuzz.add_argument("--flags", help="extra compiler flags, shell-quoted string")
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     spe.add_argument(
         "--compiler-kind",
         dest="compiler_kind",
-        choices=["rustc", "mrustc", "scripted-fake"],
+        choices=COMPILER_KINDS,
         default="rustc",
     )
     spe.add_argument("--flags")
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument(
         "--compiler-kind",
         dest="compiler_kind",
-        choices=["rustc", "mrustc", "scripted-fake"],
+        choices=COMPILER_KINDS,
         default="rustc",
     )
     cls.set_defaults(func=cmd_classify)

@@ -4,7 +4,10 @@ Entries are keyed by a content hash computed after light
 normalization (trailing whitespace per line and a single trailing
 newline are ignored), so editor artifacts never create duplicates.
 Persistence is a directory of plain source files plus a JSON-lines
-manifest, append-friendly and easy to inspect by hand.
+manifest, append-friendly and easy to inspect by hand. A campaign
+works on one ``Corpus``: preflight removes the seeds it rejects from
+that same object, so the files and manifest lines of a managed corpus
+are never rewritten and entry ids are never handed out twice.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
+from .harness import CompilerConfig, compile_program, ensure_compiler
 from .lexer import count_nonspace_tokens
+from .oracle import BugKind, classify
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +74,8 @@ class CorpusEntry:
 class Corpus:
     """In-memory entry set with optional directory persistence.
 
-    When a storage directory is attached, every accepted entry is
-    written out immediately: one source file under seeds/ plus one
-    manifest line.
+    With a storage directory, every accepted entry is written out
+    immediately: one source file under seeds/ plus one manifest line.
     """
 
     def __init__(self, storage_dir: str | Path | None = None):
@@ -81,16 +84,12 @@ class Corpus:
         self._counter = 0
         self.skipped_undecodable = 0
         self.skipped_unreadable = 0
-        self.preflight_rejections: list[tuple[str, str]] = []
-        self.storage_dir: Path | None = None
-        if storage_dir is not None:
-            self.attach(storage_dir)
+        self.storage_dir = None if storage_dir is None else Path(storage_dir)
+        if self.storage_dir is not None:
+            self.storage_dir.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._by_hash
 
     def entries(self) -> list[CorpusEntry]:
         return list(self._entries.values())
@@ -98,18 +97,9 @@ class Corpus:
     def get(self, entry_id: str) -> CorpusEntry:
         return self._entries[entry_id]
 
-    def _next_id(self) -> str:
-        self._counter += 1
-        return f"s{self._counter:06d}"
-
-    def _insert(self, entry: CorpusEntry, persist: bool = True) -> None:
+    def _insert(self, entry: CorpusEntry) -> None:
         self._entries[entry.id] = entry
         self._by_hash[entry.content_hash] = entry.id
-        m = re.fullmatch(r"s(\d+)", entry.id)
-        if m:
-            self._counter = max(self._counter, int(m.group(1)))
-        if persist and self.storage_dir is not None:
-            self._persist_entry(entry)
 
     def add_entry(self, text: str, provenance: str) -> tuple[str, bool]:
         """Insert a program unless its hash is already present.
@@ -123,14 +113,23 @@ class Corpus:
         existing = self._by_hash.get(digest)
         if existing is not None:
             return existing, False
+        self._counter += 1
         entry = CorpusEntry(
-            id=self._next_id(),
+            id=f"s{self._counter:06d}",
             source_text=text,
             content_hash=digest,
             provenance=provenance,
         )
         self._insert(entry)
+        if self.storage_dir is not None:
+            self._persist_entry(entry)
         return entry.id, True
+
+    def remove(self, entry_id: str) -> None:
+        """Drop an entry from memory only. A managed corpus keeps its
+        file and manifest line, and its id is never handed out again."""
+        entry = self._entries.pop(entry_id)
+        del self._by_hash[entry.content_hash]
 
     def sample(self, rng: random.Random) -> CorpusEntry:
         """Uniform draw over current entries."""
@@ -156,28 +155,37 @@ class Corpus:
         with (self.storage_dir / MANIFEST_NAME).open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def attach(self, storage_dir: str | Path) -> None:
-        """Start persisting to a directory; existing entries are
-        written out as well."""
-        self.storage_dir = Path(storage_dir)
-        self.storage_dir.mkdir(parents=True, exist_ok=True)
-        for entry in self._entries.values():
-            self._persist_entry(entry)
-
     @classmethod
     def open(cls, storage_dir: str | Path) -> "Corpus":
-        """Load a persisted corpus from its manifest."""
+        """Load a persisted corpus from its manifest.
+
+        A manifest line that is not JSON (a torn append) is skipped
+        with a warning; a listed seed file that is missing or not UTF-8
+        is a CorpusError.
+        """
         root = Path(storage_dir)
         manifest = root / MANIFEST_NAME
         if not manifest.is_file():
             raise CorpusError(f"no corpus manifest at {manifest}")
-        corpus = cls()
+        corpus = cls(root)
         for line in manifest.read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            text = (root / record["path"]).read_text(encoding="utf-8")
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                logger.warning("skipping corrupt manifest line in %s", manifest)
+                continue
+            # every listed id counts, kept or not, so none is reissued
+            m = re.fullmatch(r"s(\d+)", record["id"])
+            if m:
+                corpus._counter = max(corpus._counter, int(m.group(1)))
+            path = root / record["path"]
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CorpusError(f"cannot read seed {path}: {exc}") from exc
             digest = content_hash(text)
             if digest != record["hash"]:
                 logger.warning(
@@ -186,82 +194,70 @@ class Corpus:
                 )
             if digest in corpus._by_hash:
                 continue
-            entry = CorpusEntry(
-                id=record["id"],
-                source_text=text,
-                content_hash=digest,
-                provenance=record["provenance"],
+            corpus._insert(
+                CorpusEntry(
+                    id=record["id"],
+                    source_text=text,
+                    content_hash=digest,
+                    provenance=record["provenance"],
+                )
             )
-            corpus._insert(entry, persist=False)
-        corpus.storage_dir = root
         return corpus
 
 
-def load_corpus(
-    roots: Sequence[tuple[str | Path, str] | str | Path],
-    glob: str = "*.rs",
-) -> Corpus:
-    """Build a corpus from directories of source files.
+def load_corpus(root: str | Path) -> Corpus:
+    """Build a corpus from the ``*.rs`` files under a directory.
 
-    Each root is either a path (provenance defaults to user-supplied)
-    or a (path, provenance) pair. Files that fail to decode as UTF-8
-    or to read at all are skipped with a counter bump; a missing root
-    is a hard error.
+    Entries are user-supplied. Files that fail to read at all or to
+    decode as UTF-8 are skipped with a counter bump; a missing root is
+    a hard error.
     """
+    root = Path(root)
+    if not root.is_dir():
+        raise CorpusError(f"corpus root is not a directory: {root}")
     corpus = Corpus()
-    for root_spec in roots:
-        if isinstance(root_spec, (tuple, list)):
-            root, provenance = Path(root_spec[0]), root_spec[1]
-        else:
-            root, provenance = Path(root_spec), "user-supplied"
-        if not root.is_dir():
-            raise CorpusError(f"corpus root is not a directory: {root}")
-        for path in sorted(root.rglob(glob)):
-            if not path.is_file():
-                continue
-            try:
-                raw = path.read_bytes()
-            except OSError as exc:
-                corpus.skipped_unreadable += 1
-                logger.warning("skipping unreadable %s: %s", path, exc)
-                continue
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                corpus.skipped_undecodable += 1
-                logger.warning("skipping undecodable %s", path)
-                continue
-            corpus.add_entry(text, provenance)
+    for path in sorted(root.rglob("*.rs")):
+        if not path.is_file():
+            continue
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            corpus.skipped_unreadable += 1
+            logger.warning("skipping unreadable %s: %s", path, exc)
+            continue
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            corpus.skipped_undecodable += 1
+            logger.warning("skipping undecodable %s", path)
+            continue
+        corpus.add_entry(text, "user-supplied")
     return corpus
 
 
-def preflight_filter(corpus: Corpus, compiler_cfg, map_fn=map) -> Corpus:
-    """Drop seeds that already trip the oracle before any fuzzing.
+def preflight_filter(
+    corpus: Corpus, compiler_cfg: CompilerConfig, map_fn=map
+) -> list[tuple[str, str]]:
+    """Remove seeds that already trip the oracle before any fuzzing.
 
     A seed whose unmodified compile classifies as ICE or Hang would
     flood the campaign with known-bad findings; only Pass and Reject
-    seeds are kept. The compiler is validated up front so a missing
-    binary fails fast rather than after a long corpus walk. ``map_fn``
-    runs the compiles and must return results in input order, like
-    the builtin ``map`` or an executor's ``map``.
+    seeds stay in ``corpus``. Returns the removed ``(entry id, kind)``
+    pairs in entry order. The compiler is validated up front so a
+    missing binary fails fast rather than after a long corpus walk.
+    ``map_fn`` runs the compiles and must return results in input
+    order, like the builtin ``map`` or an executor's ``map``.
     """
-    from .harness import compile_program, ensure_compiler
-    from .oracle import BugKind, classify
-
     ensure_compiler(compiler_cfg)
-    kept = Corpus()
     entries = corpus.entries()
     outcomes = map_fn(
         lambda entry: compile_program(entry.source_text, compiler_cfg), entries
     )
+    rejected: list[tuple[str, str]] = []
     for entry, outcome in zip(entries, outcomes):
         kind = classify(outcome, compiler_cfg.kind)
         if kind in (BugKind.ICE, BugKind.HANG):
-            kept.preflight_rejections.append((entry.id, kind.value))
+            corpus.remove(entry.id)
+            rejected.append((entry.id, kind.value))
             logger.info("preflight rejected %s: %s", entry.id, kind.value)
-            continue
-        # already on disk if the source corpus was managed; re-journaling
-        # would duplicate manifest lines
-        kept._insert(entry, persist=False)
-    kept.storage_dir = corpus.storage_dir
-    return kept
+    return rejected

@@ -19,7 +19,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 COMPILER_KINDS = ("rustc", "mrustc", "scripted-fake")
@@ -66,8 +66,6 @@ class CompilerConfig:
     kind: str = "rustc"
     extra_flags: tuple[str, ...] | None = None
     timeout_secs: float = 180.0
-    workdir_root: str | None = None
-    env_overrides: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in COMPILER_KINDS:
@@ -112,11 +110,10 @@ def ensure_compiler(cfg: CompilerConfig) -> str:
     return binary
 
 
-def _subprocess_env(cfg: CompilerConfig) -> dict[str, str]:
+def _subprocess_env() -> dict[str, str]:
     env = {k: os.environ[k] for k in ENV_ALLOWLIST if k in os.environ}
     # backtraces make ICE signatures much more precise
-    env.setdefault("RUST_BACKTRACE", "1")
-    env.update(cfg.env_overrides)
+    env["RUST_BACKTRACE"] = "1"
     return env
 
 
@@ -142,13 +139,14 @@ def _kill_process_group(proc: subprocess.Popen) -> None:
 def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     """Compile one program text and report what happened.
 
-    Each run gets a fresh scratch directory holding input.rs; the
-    compiler runs there so object files and temporaries stay contained.
+    Each run gets a fresh scratch directory holding input.rs, under
+    ``TMPDIR`` when it is set; the compiler runs there so object files
+    and temporaries stay contained.
     On timeout the whole process group is killed, so rustc's child
     processes do not linger, and what it printed until then is kept.
     """
     binary = ensure_compiler(cfg)
-    workdir = tempfile.mkdtemp(prefix="clozefuzz-", dir=cfg.workdir_root)
+    workdir = tempfile.mkdtemp(prefix="clozefuzz-")
     input_path = Path(workdir) / "input.rs"
     input_path.write_text(program, encoding="utf-8")
 
@@ -159,7 +157,7 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
         proc = subprocess.Popen(
             cmd,
             cwd=workdir,
-            env=_subprocess_env(cfg),
+            env=_subprocess_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             start_new_session=True,

@@ -78,7 +78,6 @@ class InfillResult:
     candidate_text: str
     variant: MaskedVariant
     temperature: float
-    backend_id: str
 
 
 class MockBackend:
@@ -126,8 +125,9 @@ class HttpBackend:
     """JSON-over-HTTP completion service client.
 
     Request: {masked_text, sentinel, temperature, max_tokens}.
-    Response: {fill}. Transient transport failures are retried a
-    bounded number of times with a short backoff.
+    Response: {fill}. A bearer token is sent when ``INFILL_API_TOKEN``
+    is set. Transient transport failures are retried a bounded number
+    of times with a short backoff.
     """
 
     backend_id = "http"
@@ -138,7 +138,6 @@ class HttpBackend:
         sentinel: str = DEFAULT_SENTINEL,
         timeout: float = 60.0,
         max_retries: int = 3,
-        token_env: str = "INFILL_API_TOKEN",
         session=None,
     ):
         import requests
@@ -147,7 +146,6 @@ class HttpBackend:
         self.sentinel = sentinel
         self.timeout = timeout
         self.max_retries = max_retries
-        self.token_env = token_env
         self._session = session or requests.Session()
         self._requests = requests
 
@@ -159,7 +157,7 @@ class HttpBackend:
             "max_tokens": request.max_tokens,
         }
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env, "")
+        token = os.environ.get("INFILL_API_TOKEN", "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
 
@@ -281,7 +279,6 @@ def infill(
                 candidate_text=variant.prefix + fill + variant.suffix,
                 variant=variant,
                 temperature=temperature,
-                backend_id=getattr(backend, "backend_id", "unknown"),
             )
         )
     return results

@@ -37,8 +37,6 @@ class Token:
 @dataclass
 class LexResult:
     tokens: list[Token]
-    # set when a string, char, or block comment runs to end of input
-    unterminated: bool = False
 
 
 KEYWORDS = frozenset(
@@ -72,16 +70,16 @@ def _is_ident_continue(ch: str) -> bool:
 
 def lex(source: str) -> LexResult:
     tokens: list[Token] = []
-    unterminated = False
     n = len(source)
     i = 0
 
     def emit(kind: TokenKind, start: int, end: int) -> None:
         tokens.append(Token(kind, start, end, source[start:end]))
 
-    def scan_quoted(pos: int, quote: str) -> tuple[int, bool]:
+    def scan_quoted(pos: int, quote: str) -> int:
         """Scan past a quoted literal body starting after the opening
-        quote at ``pos``. Returns (end index, closed flag)."""
+        quote at ``pos``. Returns its end index; an unclosed literal
+        runs to the end of input."""
         j = pos + 1
         while j < n:
             ch = source[j]
@@ -89,13 +87,14 @@ def lex(source: str) -> LexResult:
                 j += 2
                 continue
             if ch == quote:
-                return j + 1, True
+                return j + 1
             j += 1
-        return n, False
+        return n
 
-    def scan_raw_string(pos: int) -> tuple[int, bool] | None:
+    def scan_raw_string(pos: int) -> int | None:
         """Try to scan r"..." / r#"..."# starting at the char after the
-        prefix. Returns None when this is not a raw string opener."""
+        prefix. Returns its end index, or None when this is not a raw
+        string opener."""
         j = pos
         hashes = 0
         while j < n and source[j] == "#":
@@ -105,9 +104,7 @@ def lex(source: str) -> LexResult:
             return None
         terminator = '"' + "#" * hashes
         at = source.find(terminator, j + 1)
-        if at == -1:
-            return n, False
-        return at + len(terminator), True
+        return n if at == -1 else at + len(terminator)
 
     while i < n:
         c = source[i]
@@ -137,16 +134,13 @@ def lex(source: str) -> LexResult:
                     i += 2
                 else:
                     i += 1
-            if depth:
-                unterminated = True
             emit(TokenKind.COMMENT, start, i)
             continue
 
         if c == "r":
             scanned = scan_raw_string(i + 1)
             if scanned is not None:
-                i, closed = scanned
-                unterminated = unterminated or not closed
+                i = scanned
                 emit(TokenKind.STRING, start, i)
                 continue
             if source.startswith("r#", i) and i + 2 < n and _is_ident_start(source[i + 2]):
@@ -159,34 +153,29 @@ def lex(source: str) -> LexResult:
 
         if c == "b":
             if i + 1 < n and source[i + 1] == '"':
-                i, closed = scan_quoted(i + 1, '"')
-                unterminated = unterminated or not closed
+                i = scan_quoted(i + 1, '"')
                 emit(TokenKind.STRING, start, i)
                 continue
             if i + 1 < n and source[i + 1] == "'":
-                i, closed = scan_quoted(i + 1, "'")
-                unterminated = unterminated or not closed
+                i = scan_quoted(i + 1, "'")
                 emit(TokenKind.CHAR, start, i)
                 continue
             if i + 1 < n and source[i + 1] == "r":
                 scanned = scan_raw_string(i + 2)
                 if scanned is not None:
-                    i, closed = scanned
-                    unterminated = unterminated or not closed
+                    i = scanned
                     emit(TokenKind.STRING, start, i)
                     continue
 
         if c == '"':
-            i, closed = scan_quoted(i, '"')
-            unterminated = unterminated or not closed
+            i = scan_quoted(i, '"')
             emit(TokenKind.STRING, start, i)
             continue
 
         if c == "'":
             nxt = source[i + 1] if i + 1 < n else ""
             if nxt == "\\":
-                i, closed = scan_quoted(i, "'")
-                unterminated = unterminated or not closed
+                i = scan_quoted(i, "'")
                 emit(TokenKind.CHAR, start, i)
                 continue
             # 'x' is a char; 'x followed by anything else is a lifetime
@@ -253,7 +242,7 @@ def lex(source: str) -> LexResult:
         i += len(matched) if matched else 1
         emit(TokenKind.PUNCT, start, i)
 
-    return LexResult(tokens=tokens, unterminated=unterminated)
+    return LexResult(tokens=tokens)
 
 
 def significant_tokens(tokens: list[Token]) -> list[Token]:

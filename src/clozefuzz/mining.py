@@ -154,20 +154,20 @@ def fetch_issues_http(
     until: datetime | None = None,
     page_size: int = 100,
     base_url: str = "https://api.github.com",
-    token_env: str = "ISSUE_API_TOKEN",
     session=None,
     max_retries: int = 3,
 ) -> Iterator[IssueRecord]:
     """Page through a hosted repository's issue API.
 
     Errors carry the page number so an interrupted crawl can resume.
-    Pull requests masquerading as issues are skipped.
+    Pull requests masquerading as issues are skipped. A bearer token is
+    sent when ``ISSUE_API_TOKEN`` is set.
     """
     import requests
 
     sess = session or requests.Session()
     headers = {"Accept": "application/vnd.github+json"}
-    token = os.environ.get(token_env, "")
+    token = os.environ.get("ISSUE_API_TOKEN", "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
 

@@ -2,8 +2,9 @@
 
 Classification looks only at the observable outcome of a compile run.
 A timeout is always a Hang, regardless of what the compiler managed to
-print first. Internal-compiler-error detection is table-driven per
-compiler kind so new phrasings can be configured without code changes.
+print first. Internal-compiler-error detection reads one table of
+needle groups per compiler kind, ``ICE_PATTERNS``; a new phrasing is
+one more entry there.
 
 Signatures strip everything volatile (paths, line numbers, addresses,
 hash suffixes) so that the same underlying bug collides to the same
@@ -43,7 +44,7 @@ class Novelty(Enum):
 
 # Each entry is a tuple of needle groups; a group matches when every
 # needle in it is present. Any matching group marks the outcome an ICE.
-DEFAULT_ICE_PATTERNS: dict[str, tuple[tuple[str, ...], ...]] = {
+ICE_PATTERNS: dict[str, tuple[tuple[str, ...], ...]] = {
     "rustc": (
         ("internal compiler error",),
         ("compiler unexpectedly panicked",),
@@ -66,18 +67,12 @@ def _needle_present(needle: str, text: str, outcome: CompileOutcome) -> bool:
     return False
 
 
-def classify(
-    outcome: CompileOutcome,
-    compiler_kind: str,
-    patterns: dict[str, tuple[tuple[str, ...], ...]] | None = None,
-) -> BugKind:
+def classify(outcome: CompileOutcome, compiler_kind: str) -> BugKind:
     """Map one compile outcome to exactly one bug kind."""
     if outcome.timed_out:
         return BugKind.HANG
-    table = patterns if patterns is not None else DEFAULT_ICE_PATTERNS
-    groups = table.get(compiler_kind, ())
     combined = outcome.stderr + "\n" + outcome.stdout
-    for group in groups:
+    for group in ICE_PATTERNS.get(compiler_kind, ()):
         if all(_needle_present(needle, combined, outcome) for needle in group):
             return BugKind.ICE
     if outcome.exit_status != 0:
@@ -144,14 +139,14 @@ def _backtrace_frames(stderr: str) -> list[str]:
     return frames
 
 
-def _hang_tail(trace: list[tuple[str, float]] | None, k: int) -> list[str]:
+def _hang_tail(trace: list[tuple[str, float]] | None) -> list[str]:
     if not trace:
         return [NO_PASSES_MARKER]
     tail: list[str] = []
     for name, _secs in reversed(trace):
         if name not in tail:
             tail.append(name)
-        if len(tail) == k:
+        if len(tail) == HANG_TAIL_LENGTH:
             break
     tail.reverse()
     return tail
@@ -176,12 +171,11 @@ def signature(
     outcome: CompileOutcome,
     kind: BugKind,
     trace: list[tuple[str, float]] | None = None,
-    tail_length: int = HANG_TAIL_LENGTH,
 ) -> BugSignature:
     """Deduplication signature for an ICE or Hang outcome.
 
     ICE: normalized panic message plus the normalized backtrace frame
-    sequence. Hang: the last ``tail_length`` distinct pass names of
+    sequence. Hang: the last ``HANG_TAIL_LENGTH`` distinct pass names of
     ``trace`` (the ``(pass, seconds)`` entries the compile printed
     before the clock ran out), or a fixed marker when there are none.
     """
@@ -194,7 +188,7 @@ def signature(
     elif kind is BugKind.HANG:
         payload = {
             "kind": kind.value,
-            "tail": _hang_tail(trace, tail_length),
+            "tail": _hang_tail(trace),
         }
     else:
         raise ValueError(f"no signature for outcome kind {kind.value!r}")

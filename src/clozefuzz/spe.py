@@ -30,10 +30,6 @@ class Skeleton:
     segments: list[str]  # len(segments) == len(occurrences) + 1
     occurrences: list[str]  # variable names in textual order
 
-    @property
-    def distinct(self) -> Counter:
-        return Counter(self.occurrences)
-
     def refill(self, names: list[str]) -> str:
         if len(names) != len(self.occurrences):
             raise ValueError(
@@ -178,16 +174,17 @@ def enumerate_fillings(
 ) -> list[str]:
     """Programs obtained by permuting the skeleton's occurrences.
 
-    When the distinct-arrangement count is at most the threshold,
-    every arrangement except the identity is emitted. Above the
-    threshold, exactly sample_size distinct non-identity arrangements
-    are drawn uniformly by rejection sampling.
+    When the distinct-arrangement count is at most the threshold, or
+    there are no more non-identity arrangements than sample_size,
+    every arrangement except the identity is emitted. Otherwise exactly
+    sample_size distinct non-identity arrangements are drawn uniformly
+    by rejection sampling.
     """
     if not skeleton.occurrences:
         return []
     identity = tuple(skeleton.occurrences)
     count = permutation_count(skeleton.occurrences)
-    if count <= threshold:
+    if count <= threshold or count - 1 <= sample_size:
         return [
             skeleton.refill(list(arrangement))
             for arrangement in _all_distinct_permutations(skeleton.occurrences)
@@ -206,14 +203,3 @@ def enumerate_fillings(
         chosen.add(key)
         out.append(skeleton.refill(arrangement))
     return out
-
-
-def generate_variants(
-    source: str,
-    threshold: int = ENUMERATION_THRESHOLD,
-    sample_size: int = SAMPLE_SIZE,
-    rng: random.Random | None = None,
-) -> list[str]:
-    return enumerate_fillings(
-        extract_variables(source), threshold, sample_size, rng
-    )

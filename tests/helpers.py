@@ -234,6 +234,18 @@ def reference_find_spans(source: str) -> list[BracketSpan]:
     return out
 
 
+def preorder(roots: list[BracketSpan]) -> list[BracketSpan]:
+    """Depth-first pre-order of a span forest, walked from its roots
+    without recursion, so deep nests stay within the stack limit."""
+    out: list[BracketSpan] = []
+    todo = list(reversed(roots))
+    while todo:
+        span = todo.pop()
+        out.append(span)
+        todo.extend(reversed(span.children))
+    return out
+
+
 def reference_feature_attribute_ranges(
     source: str, spans: list[BracketSpan]
 ) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ from conftest import TRIGGER_BODY
 from helpers import fixture_corpus_texts, gen_bracket_source, oracle_pairs
 
 from clozefuzz.augment import AugmentConfig, export_finetune_corpus, random_delete, random_swap
-from clozefuzz.brackets import find_bracket_pairs, flatten_spans
+from clozefuzz.brackets import find_spans
 from clozefuzz.campaign import CampaignConfig, run_campaign
 from clozefuzz.cli import main as cli_main
 from clozefuzz.corpus import Corpus, preflight_filter
@@ -28,7 +28,7 @@ from clozefuzz.infill import EchoBackend, InfillConfig, MockBackend, infill
 from clozefuzz.lexer import TokenKind, lex
 from clozefuzz.masking import cloze
 from clozefuzz.oracle import BugKind, BugStore, Novelty, classify, signature
-from clozefuzz.spe import generate_variants
+from clozefuzz.spe import enumerate_fillings, extract_variables
 
 
 def test_criterion_01_bracket_oracle_equivalence():
@@ -38,7 +38,7 @@ def test_criterion_01_bracket_oracle_equivalence():
         source = gen_bracket_source(rng)
         mine = {
             (s.kind.value, s.open_at, s.close_at)
-            for s in flatten_spans(find_bracket_pairs(source))
+            for s in find_spans(source)
         }
         assert mine == oracle_pairs(source), f"disagreement on: {source!r}"
     assert time.monotonic() - started < 5.0
@@ -49,7 +49,7 @@ def test_criterion_02_cloze_cardinality_and_round_trip():
     texts = fixture_corpus_texts(50)
     assert len(texts) == 50
     for text in texts:
-        spans = flatten_spans(find_bracket_pairs(text))
+        spans = find_spans(text)
         variants = cloze(text)
         assert len(variants) == len(spans)
         for variant in variants:
@@ -173,15 +173,15 @@ def test_criterion_08_spe_enumeration_counts():
     two = "fn f(a: u32, b: u32) {}"
     three = "fn f() { let a = 1; let b = 2; let c = 3; }"
     four = "fn f() { let a = 1; let b = 2; let c = 3; let d = 4; }"
-    assert len(generate_variants(two)) == 1
-    assert len(generate_variants(three)) == 5
-    assert len(generate_variants(four)) == 23
+    assert len(enumerate_fillings(extract_variables(two))) == 1
+    assert len(enumerate_fillings(extract_variables(three))) == 5
+    assert len(enumerate_fillings(extract_variables(four))) == 23
 
     six = (
         "fn f() { let a = 1; let b = 2; let c = 3;"
         " let d = 4; let e = 5; let g = 6; }"
     )
-    sampled = generate_variants(six, rng=random.Random(8))
+    sampled = enumerate_fillings(extract_variables(six), rng=random.Random(8))
     assert len(sampled) == 32
     assert len(set(sampled)) == 32
     assert six not in sampled
@@ -274,8 +274,8 @@ def test_criterion_11_live_rustc_smoke(tmp_path):
 
     corpus = Corpus()
     corpus.add_entry("fn main() {}", "test-suite")
-    kept = preflight_filter(corpus, CompilerConfig(binary_path="rustc"))
-    assert [e.source_text for e in kept.entries()] == ["fn main() {}"]
+    assert preflight_filter(corpus, CompilerConfig(binary_path="rustc")) == []
+    assert [e.source_text for e in corpus.entries()] == ["fn main() {}"]
 
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

@@ -8,6 +8,7 @@ from helpers import (
     gen_angle_soup,
     gen_bracket_source,
     oracle_pairs,
+    preorder,
     reference_find_spans,
     reference_match_angles,
 )
@@ -17,7 +18,6 @@ from clozefuzz.brackets import (
     _match_angles,
     find_bracket_pairs,
     find_spans,
-    flatten_spans,
 )
 from clozefuzz.lexer import lex, significant_tokens
 
@@ -109,7 +109,8 @@ def test_strings_and_comments_hide_brackets():
 def test_tree_depth_children_and_dfs_order():
     src = "fn f(a: [u8; 2]) { g(h(1)) }"
     roots = find_bracket_pairs(src)
-    spans = flatten_spans(roots)
+    spans = preorder(roots)
+    assert span_keys(spans) == span_keys(find_spans(src))
     # parents precede children, open_at strictly ascends
     opens = [s.open_at for s in spans]
     assert opens == sorted(opens)
@@ -182,4 +183,4 @@ def test_find_spans_is_linear_on_an_aborting_turbofish_nest():
     assert time.perf_counter() - started < 1.0
     assert [s.kind for s in spans] == [BracketKind.PAREN] * levels
     assert spans[-1].depth == levels - 1
-    assert span_keys(flatten_spans(find_bracket_pairs(text))) == span_keys(spans)
+    assert span_keys(preorder(find_bracket_pairs(text))) == span_keys(spans)

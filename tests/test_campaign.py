@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shlex
 import subprocess
+import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from conftest import TIMEPASS_HANG_BODY, TRIGGER_BODY
 
+import clozefuzz
 from clozefuzz import campaign
 from clozefuzz.campaign import (
     CampaignAbortedError,
@@ -160,10 +165,9 @@ class TestBundles:
 class TestFeedback:
     def test_novel_finding_feeds_managed_corpus(self, tmp_path, trigger_compiler):
         managed = tmp_path / "managed"
-        corpus = Corpus()
+        corpus = Corpus(managed)
         corpus.add_entry(SEED_MAIN, "test-suite")
         corpus.add_entry(SEED_HELPER, "test-suite")
-        corpus.attach(managed)
 
         cfg = make_config(managed, tmp_path, trigger_compiler, ["0xBUG boom()"], budget=2)
         report = run_campaign(cfg)
@@ -175,6 +179,37 @@ class TestFeedback:
         assert provenances.count("fuzzer-feedback") == 1
         fed = next(e for e in reopened.entries() if e.provenance == "fuzzer-feedback")
         assert "0xBUG" in fed.source_text
+
+    def test_preflight_rejected_seed_keeps_its_id_and_file(
+        self, tmp_path, trigger_compiler
+    ):
+        # the highest id is rejected, so a counter recomputed from the
+        # kept seeds would hand that id to the feedback seed
+        managed = tmp_path / "managed"
+        corpus = Corpus(managed)
+        corpus.add_entry(SEED_MAIN, "test-suite")
+        rejected_id, _ = corpus.add_entry(SEED_HELPER + "// 0xBUG\n", "test-suite")
+        manifest = managed / "manifest.jsonl"
+        lines_before = manifest.read_text().splitlines()
+        rejected_file = managed / "seeds" / f"{rejected_id}.rs"
+        rejected_text = rejected_file.read_text()
+
+        cfg = make_config(managed, tmp_path, trigger_compiler, ["0xBUG boom()"], budget=1)
+        report = run_campaign(cfg)
+        assert report.preflight_rejected == 1
+        assert report.interesting == 1
+
+        lines = manifest.read_text().splitlines()
+        assert lines[:2] == lines_before
+        assert rejected_file.read_text() == rejected_text
+        ids = [json.loads(line)["id"] for line in lines]
+        assert len(ids) == len(set(ids)) == 3
+        reopened = Corpus.open(managed)
+        assert reopened.get(rejected_id).source_text == rejected_text
+        assert reopened.get(rejected_id).provenance == "test-suite"
+        fed = reopened.get(ids[2])
+        assert fed.provenance == "fuzzer-feedback"
+        assert "boom()" in fed.source_text
 
     def test_plain_directory_corpus_feedback_stays_in_memory(
         self, corpus_dir, tmp_path, trigger_compiler
@@ -442,10 +477,9 @@ class TestDeterminismAcrossWorkers:
         """One campaign on a managed corpus; returns everything that
         must not depend on the worker count."""
         root = tmp_path / f"w{workers}"
-        corpus = Corpus()
+        corpus = Corpus(root / "corpus")
         for text in (SEED_MAIN, SEED_HELPER, SEED_FEATURE):
             corpus.add_entry(text, "test-suite")
-        corpus.attach(root / "corpus")
 
         ledger = []  # seed draws, infill sizes and outcomes, in order
         cloze, infill, classify = campaign.cloze, campaign.infill, campaign.classify
@@ -573,9 +607,10 @@ class TestDeterminismAcrossWorkers:
         """
         work = tmp_path / "work"
         work.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(work))
         compiler = CompilerConfig(
             binary_path=scripted("slow_ice", body), kind="scripted-fake",
-            timeout_secs=5.0, workdir_root=str(work),
+            timeout_secs=5.0,
         )
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -605,9 +640,10 @@ class TestDeterminismAcrossWorkers:
     def test_interrupt_with_compiles_in_flight(self, tmp_path, scripted, monkeypatch):
         work = tmp_path / "work"
         work.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(work))
         compiler = CompilerConfig(
             binary_path=scripted("slow", "sleep 0.3\nexit 0\n"),
-            kind="scripted-fake", timeout_secs=5.0, workdir_root=str(work),
+            kind="scripted-fake", timeout_secs=5.0,
         )
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -649,7 +685,6 @@ class TestReportBugUnit:
             candidate_text="fn main() { 0xBUG; }",
             variant=variant,
             temperature=0.8,
-            backend_id="mock",
         )
         outcome = compile_program(result.candidate_text, trigger_compiler)
         assert classify(outcome, "scripted-fake") is BugKind.ICE
@@ -709,3 +744,42 @@ class TestHookPoints:
         assert calls["cloze"] == report.seeds_sampled
         assert calls["preflight_filter"] == 1
         assert calls["load_corpus"] == 1
+
+    def test_benchmark_child_runs_on_this_tree(self, tmp_path, monkeypatch):
+        """The benchmark child also hooks ``masking.lex``, ``brackets.lex``,
+        ``masking.find_spans``, ``LexResult.tokens``, ``Corpus`` methods and
+        ``CampaignConfig(compilers=...)``; one traced run checks them all."""
+        root = Path(clozefuzz.__file__).resolve().parents[2]
+        bench = root / "perfbench"
+        spec_of = importlib.util.spec_from_file_location(
+            "workloads", bench / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec_of)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec_of.loader.exec_module(workloads)
+        spec = dict(
+            workloads.build("fake-mixed", 1).materialise(tmp_path / "bench"),
+            budget=30,
+            trace=1,
+            campaign_seed=1,
+            out_dir=str(tmp_path / "out"),
+            spans_path=str(tmp_path / "spans.jsonl"),
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, str(bench / "child.py"), str(spec_path)],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["aborted"] is None
+        assert result["report"]["candidates_compiled"] == result["ledger_len"] == 30
+        layers = result["layers"]
+        assert isinstance(layers, dict)
+        assert layers["lexer.lex.calls"] > 0
+        assert layers["brackets.find_spans.calls"] > 0
+        assert layers["corpus.preflight_filter.s"] > 0

@@ -11,6 +11,7 @@ from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY
 
 import clozefuzz
 from clozefuzz.cli import main
+from clozefuzz.corpus import Corpus
 
 SEED_MAIN = "fn main() { helper(1); }\n"
 SEED_HELPER = "fn helper(n: u32) { let x = n; }\n"
@@ -50,6 +51,20 @@ FUZZ_REPORT_KEYS = {
 }
 SPE_REPORT_KEYS = {"seeds", "seeds_over_threshold", "programs_generated"}
 SPE_TRIAGE_KEYS = {"pass", "reject", "ice", "hang", "interesting", "duplicate"}
+
+
+def run_module(args, timeout):
+    """Run ``python -m clozefuzz`` on the package under test, also when
+    pytest alone put it on the path."""
+    src = str(Path(clozefuzz.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "clozefuzz", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
 
 
 def fuzz_args(corpus_dir, trigger_bin, mock_script, out, *extra):
@@ -422,6 +437,63 @@ class TestSpeCommand:
         assert "environment error" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/candidates/*.rs"))
 
+    def test_fewer_arrangements_than_the_sample_do_not_hang(self, tmp_path):
+        # [a, b, a, b] has 6 arrangements, so 5 besides the identity:
+        # above the threshold, yet fewer than the 32 a sample asks for
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "f.rs").write_text(
+            "fn f(a: u32, b: u32) { a + b; }\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        proc = run_module(spe_args(corpus_dir, out, "--threshold", "1"), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["seeds_over_threshold"] == 1
+        assert report["programs_generated"] == 5
+        texts = {p.read_text() for p in (out / "candidates").glob("*.rs")}
+        assert len(texts) == 5
+
+
+class TestDamagedCorpus:
+    @pytest.fixture
+    def managed(self, tmp_path):
+        root = tmp_path / "managed"
+        corpus = Corpus(root)
+        corpus.add_entry(SEED_MAIN, "test-suite")
+        corpus.add_entry(SEED_HELPER, "test-suite")
+        return root
+
+    def test_torn_manifest_line_is_skipped(self, managed, tmp_path, caplog):
+        with (managed / "manifest.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "s000003", "ha')
+        assert main(spe_args(managed, tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["seeds"] == 2
+        assert "corrupt manifest line" in caplog.text
+
+    @pytest.mark.parametrize("command", ["spe", "fuzz"])
+    @pytest.mark.parametrize("damage", ["missing", "undecodable"])
+    def test_unreadable_seed_file_is_an_environment_error(
+        self, managed, tmp_path, trigger_bin, mock_script, capsys, command, damage
+    ):
+        seed = managed / "seeds" / "s000002.rs"
+        if damage == "missing":
+            seed.unlink()
+        else:
+            seed.write_bytes(b"fn helper() { \xff }\n")
+        out = tmp_path / "out"
+        if command == "spe":
+            args = spe_args(managed, out)
+        else:
+            args = fuzz_args(
+                managed, trigger_bin, mock_script, out, "--budget-candidates", "2"
+            )
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "environment error" in err
+        assert "s000002.rs" in err
+
 
 class TestDebugCommands:
     def test_spans_dumps_a_tree(self, tmp_path, capsys):
@@ -491,16 +563,7 @@ class TestDebugCommands:
 
 
 def test_module_entry_point_smoke():
-    # run the package under test, also when pytest alone put it on the path
-    src = str(Path(clozefuzz.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "clozefuzz", "--help"],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-    )
+    proc = run_module(["--help"], timeout=30)
     assert proc.returncode == 0
     assert "fuzz" in proc.stdout
     assert "mine" in proc.stdout

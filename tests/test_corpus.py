@@ -73,9 +73,9 @@ def test_loading_a_corpus_lexes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(corpus_module, "count_nonspace_tokens", counting)
     (tmp_path / "a.rs").write_text("fn main() {}")
-    corpus = load_corpus([tmp_path])
+    loaded = load_corpus(tmp_path).entries()[0]
     store = tmp_path / "store"
-    corpus.attach(store)
+    Corpus(store).add_entry(loaded.source_text, loaded.provenance)
     entry = Corpus.open(store).entries()[0]
     assert lexed == []
     # counted on first use, then kept
@@ -108,30 +108,25 @@ def test_sampling_empty_corpus_raises():
 
 
 def test_load_corpus_from_directories(tmp_path):
-    root_a = tmp_path / "a"
-    root_b = tmp_path / "b" / "nested"
-    root_b.mkdir(parents=True)
-    root_a.mkdir()
-    (root_a / "one.rs").write_text("fn one() {}")
-    (root_a / "dup.rs").write_text("fn one() {}")
-    (root_a / "skip.txt").write_text("not matched by glob")
-    (root_b / "two.rs").write_text("fn two() {}")
+    nested = tmp_path / "b" / "nested"
+    nested.mkdir(parents=True)
+    (tmp_path / "one.rs").write_text("fn one() {}")
+    (tmp_path / "dup.rs").write_text("fn one() {}")
+    (tmp_path / "skip.txt").write_text("not a .rs file")
+    (nested / "two.rs").write_text("fn two() {}")
     (tmp_path / "b" / "top.rs").write_text("fn top() {}")
-    bad = root_a / "bad.rs"
-    bad.write_bytes(b"\xff\xfe broken utf8 \xff")
+    (tmp_path / "bad.rs").write_bytes(b"\xff\xfe broken utf8 \xff")
 
-    corpus = load_corpus([(root_a, "test-suite"), (tmp_path / "b", "glacier")])
+    corpus = load_corpus(tmp_path)
     texts = {e.source_text for e in corpus.entries()}
     assert texts == {"fn one() {}", "fn two() {}", "fn top() {}"}
     assert corpus.skipped_undecodable == 1
-    provs = {e.source_text: e.provenance for e in corpus.entries()}
-    assert provs["fn one() {}"] == "test-suite"
-    assert provs["fn two() {}"] == "glacier"
+    assert {e.provenance for e in corpus.entries()} == {"user-supplied"}
 
 
 def test_load_corpus_missing_root_is_hard_error(tmp_path):
     with pytest.raises(CorpusError):
-        load_corpus([tmp_path / "nope"])
+        load_corpus(tmp_path / "nope")
 
 
 def test_persistence_round_trip(tmp_path):
@@ -157,6 +152,48 @@ def test_persistence_round_trip(tmp_path):
     assert len(Corpus.open(store)) == 3
 
 
+def test_open_skips_a_torn_manifest_line(tmp_path, caplog):
+    store = tmp_path / "corpus"
+    corpus = Corpus(store)
+    id_a, _ = corpus.add_entry("fn a() {}", "user-supplied")
+    with (store / "manifest.jsonl").open("a") as fh:
+        fh.write('{"id": "s000002", "hash": "ab')
+    reopened = Corpus.open(store)
+    assert [e.id for e in reopened.entries()] == [id_a]
+    assert "corrupt manifest line" in caplog.text
+
+
+@pytest.mark.parametrize("damage", ["missing", "undecodable"])
+def test_open_unreadable_seed_file_is_a_corpus_error(tmp_path, damage):
+    store = tmp_path / "corpus"
+    corpus = Corpus(store)
+    corpus.add_entry("fn a() {}", "user-supplied")
+    eid, _ = corpus.add_entry("fn b() {}", "user-supplied")
+    seed = store / "seeds" / f"{eid}.rs"
+    if damage == "missing":
+        seed.unlink()
+    else:
+        seed.write_bytes(b"fn b() { \xff }")
+    with pytest.raises(CorpusError, match=eid):
+        Corpus.open(store)
+
+
+def test_open_never_reissues_a_listed_id(tmp_path):
+    # a manifest line whose content repeats an earlier one is skipped,
+    # but its id still counts
+    store = tmp_path / "corpus"
+    Corpus(store).add_entry("fn a() {}", "user-supplied")
+    manifest = store / "manifest.jsonl"
+    record = json.loads(manifest.read_text())
+    record.update(id="s000007", path="seeds/s000007.rs")
+    (store / "seeds" / "s000007.rs").write_text("fn a() {}")
+    with manifest.open("a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    reopened = Corpus.open(store)
+    assert len(reopened) == 1
+    assert reopened.add_entry("fn b() {}", "user-supplied") == ("s000008", True)
+
+
 def test_preflight_keeps_pass_and_reject_only(scripted, tmp_path):
     compiler = scripted("trigger", TRIGGER_BODY)
     cfg = CompilerConfig(
@@ -168,11 +205,31 @@ def test_preflight_keeps_pass_and_reject_only(scripted, tmp_path):
     ice_id, _ = corpus.add_entry("fn i() {} // 0xBUG", "user-supplied")
     hang_id, _ = corpus.add_entry("fn h() {} // SLOWMARK", "user-supplied")
 
-    kept = preflight_filter(corpus, cfg)
-    kept_ids = {e.id for e in kept.entries()}
-    assert kept_ids == {ok_id, rej_id}
-    rejected = dict(kept.preflight_rejections)
-    assert rejected == {ice_id: "ice", hang_id: "hang"}
+    rejected = preflight_filter(corpus, cfg)
+    assert {e.id for e in corpus.entries()} == {ok_id, rej_id}
+    assert dict(rejected) == {ice_id: "ice", hang_id: "hang"}
+
+
+def test_preflight_removes_in_place_and_keeps_ids(scripted, tmp_path):
+    cfg = CompilerConfig(
+        binary_path=scripted("trigger", TRIGGER_BODY),
+        kind="scripted-fake",
+        timeout_secs=1.0,
+    )
+    store = tmp_path / "corpus"
+    corpus = Corpus(store)
+    ok_id, _ = corpus.add_entry("fn ok() {}", "test-suite")
+    ice_id, _ = corpus.add_entry("fn i() {} // 0xBUG", "test-suite")
+    manifest = (store / "manifest.jsonl").read_text()
+
+    assert preflight_filter(corpus, cfg) == [(ice_id, "ice")]
+    assert [e.id for e in corpus.entries()] == [ok_id]
+    assert corpus.storage_dir == store
+    # the rejected seed stays on disk, and its id is not handed out again
+    assert (store / "manifest.jsonl").read_text() == manifest
+    new_id, _ = corpus.add_entry("fn new() {}", "fuzzer-feedback")
+    assert new_id not in (ok_id, ice_id)
+    assert (store / "seeds" / f"{ice_id}.rs").read_text() == "fn i() {} // 0xBUG"
 
 
 def test_preflight_on_a_pool_keeps_entry_order(scripted):
@@ -189,17 +246,21 @@ def test_preflight_on_a_pool_keeps_entry_order(scripted):
     cfg = CompilerConfig(
         binary_path=scripted("napper", body), kind="scripted-fake", timeout_secs=5.0
     )
-    corpus = Corpus()
-    ids = [
-        corpus.add_entry(f"fn f{i}() {{}} // nap 0.{4 - i}{mark}", "user-supplied")[0]
-        for i, mark in enumerate(["", " 0xBUG", "", " 0xBUG", ""])
-    ]
-    serial = preflight_filter(corpus, cfg)
+    def napping_corpus() -> Corpus:
+        corpus = Corpus()
+        for i, mark in enumerate(["", " 0xBUG", "", " 0xBUG", ""]):
+            corpus.add_entry(f"fn f{i}() {{}} // nap 0.{4 - i}{mark}", "user-supplied")
+        return corpus
+
+    serial = napping_corpus()
+    ids = [e.id for e in serial.entries()]
+    serial_rejected = preflight_filter(serial, cfg)
+    pooled = napping_corpus()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        pooled = preflight_filter(corpus, cfg, pool.map)
-    for kept in (serial, pooled):
+        pooled_rejected = preflight_filter(pooled, cfg, pool.map)
+    for kept, rejected in ((serial, serial_rejected), (pooled, pooled_rejected)):
         assert [e.id for e in kept.entries()] == [ids[0], ids[2], ids[4]]
-        assert kept.preflight_rejections == [(ids[1], "ice"), (ids[3], "ice")]
+        assert rejected == [(ids[1], "ice"), (ids[3], "ice")]
 
 
 def test_preflight_missing_compiler_fails_before_compiling():

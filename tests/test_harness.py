@@ -143,18 +143,6 @@ def test_toolchain_resolution_env_passes_through(scripted, monkeypatch):
     assert "cargo=[/fake/cargo]" in outcome.stdout
 
 
-def test_env_overrides_reach_the_compiler(scripted):
-    body = """
-    echo "bt=[$RUST_BACKTRACE]"
-    exit 0
-    """
-    cfg = fake_cfg(
-        scripted("envdump2", body), env_overrides={"RUST_BACKTRACE": "full"}
-    )
-    outcome = compile_program("fn main() {}", cfg)
-    assert "bt=[full]" in outcome.stdout
-
-
 def test_time_passes_parses_entries_and_truncation(scripted):
     # the pass lines printed before the timeout survive the kill
     cfg = fake_cfg(scripted("tp", TIMEPASS_HANG_BODY), timeout_secs=1.0)

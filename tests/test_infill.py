@@ -49,7 +49,6 @@ def test_nonspecial_gets_one_attempt_at_base_temperature():
     assert backend.calls[0].temperature == 0.8
     assert len(results) == 1
     assert results[0].temperature == 0.8
-    assert results[0].backend_id == "mock"
 
 
 def test_special_gets_time_max_attempts_at_random_temperatures():

@@ -95,16 +95,15 @@ def test_line_and_block_comments():
     assert comments[0].text == "/* outer /* nested } */ still */"
 
 
-def test_unterminated_literals_set_flag_without_crashing():
-    result = lex('"never closed')
-    assert result.unterminated
-    assert result.tokens[-1].end == len('"never closed')
-
-    result = lex("/* runs off the end")
-    assert result.unterminated
-
-    result = lex("fn ok() {}")
-    assert not result.unterminated
+def test_unterminated_literals_run_to_end_of_input():
+    for text, kind in (
+        ('"never closed', TokenKind.STRING),
+        ("/* runs off the end", TokenKind.COMMENT),
+        ("x = r#\"raw and open", TokenKind.STRING),
+        ("b'\\", TokenKind.CHAR),
+    ):
+        last = lex(text).tokens[-1]
+        assert (last.kind, last.end) == (kind, len(text)), text
 
 
 def test_fused_operators_are_single_puncts():

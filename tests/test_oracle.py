@@ -96,14 +96,6 @@ class TestClassify:
         out = outcome(exit_status=1, stderr="internal compiler error")
         assert classify(out, "tcc") is BugKind.REJECT
 
-    def test_custom_pattern_table(self):
-        table = {"rustc": (("KABOOM",),)}
-        out = outcome(exit_status=1, stderr="KABOOM")
-        assert classify(out, "rustc", patterns=table) is BugKind.ICE
-        # the default phrasing no longer matches under the custom table
-        out = outcome(exit_status=101, stderr="internal compiler error")
-        assert classify(out, "rustc", patterns=table) is BugKind.REJECT
-
 
 class TestNormalization:
     def test_addresses_sources_paths_quotes_digits(self):
@@ -186,13 +178,6 @@ class TestSignature:
         for trace in (None, []):
             sig = signature(outcome(timed_out=True), BugKind.HANG, trace=trace)
             assert sig.payload_dict()["tail"] == [NO_PASSES_MARKER]
-
-    def test_tail_length_parameter(self):
-        trace = [(f"p{i}", 0.1) for i in range(6)]
-        sig = signature(
-            outcome(timed_out=True), BugKind.HANG, trace=trace, tail_length=2
-        )
-        assert sig.payload_dict()["tail"] == ["p4", "p5"]
 
     def test_pass_and_reject_have_no_signature(self):
         for kind in (BugKind.PASS, BugKind.REJECT):

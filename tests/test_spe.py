@@ -10,7 +10,6 @@ from clozefuzz.spe import (
     Skeleton,
     enumerate_fillings,
     extract_variables,
-    generate_variants,
     permutation_count,
 )
 
@@ -26,7 +25,6 @@ class TestExtraction:
         src = "fn main() { let a = 1; let b = a; }"
         skeleton = extract_variables(src)
         assert skeleton.occurrences == ["a", "b", "a"]
-        assert skeleton.distinct == Counter({"a": 2, "b": 1})
         assert len(skeleton.segments) == len(skeleton.occurrences) + 1
 
     def test_let_mut(self):
@@ -86,19 +84,19 @@ class TestCounting:
 
 class TestEnumeration:
     def test_two_occurrences_give_one_variant(self):
-        variants = generate_variants("fn f(a: u32, b: u32) {}")
+        variants = enumerate_fillings(extract_variables("fn f(a: u32, b: u32) {}"))
         assert variants == ["fn f(b: u32, a: u32) {}"]
 
     def test_three_distinct_give_five_variants(self):
         src = "fn f() { let a = 1; let b = 2; let c = 3; }"
-        variants = generate_variants(src)
+        variants = enumerate_fillings(extract_variables(src))
         assert len(variants) == 5
         assert len(set(variants)) == 5
         assert src not in variants
 
     def test_four_distinct_give_twenty_three_variants(self):
         src = "fn f() { let a = 1; let b = 2; let c = 3; let d = 4; }"
-        variants = generate_variants(src)
+        variants = enumerate_fillings(extract_variables(src))
         assert len(variants) == 23
 
     def test_repeated_names_deduplicate_arrangements(self):
@@ -113,11 +111,11 @@ class TestEnumeration:
     def test_variants_preserve_token_multiset(self):
         src = "fn f() { let a = 1; let b = 2; let c = a; }"
         baseline = token_multiset(src)
-        for variant in generate_variants(src):
+        for variant in enumerate_fillings(extract_variables(src)):
             assert token_multiset(variant) == baseline
 
     def test_no_occurrences_no_variants(self):
-        assert generate_variants("fn main() {}") == []
+        assert enumerate_fillings(extract_variables("fn main() {}")) == []
 
     def test_enumeration_is_lexicographic(self):
         skeleton = Skeleton(segments=["", " ", ""], occurrences=["b", "a"])
@@ -132,28 +130,28 @@ class TestSampling:
 
     def test_above_threshold_requires_rng(self):
         with pytest.raises(ValueError):
-            generate_variants(self.SIX)
+            enumerate_fillings(extract_variables(self.SIX))
 
     def test_exactly_sample_size_distinct_variants(self):
-        variants = generate_variants(self.SIX, rng=random.Random(2))
+        variants = enumerate_fillings(extract_variables(self.SIX), rng=random.Random(2))
         assert len(variants) == 32
         assert len(set(variants)) == 32
         assert self.SIX not in variants
 
     def test_sampling_is_deterministic(self):
-        a = generate_variants(self.SIX, rng=random.Random(13))
-        b = generate_variants(self.SIX, rng=random.Random(13))
+        a = enumerate_fillings(extract_variables(self.SIX), rng=random.Random(13))
+        b = enumerate_fillings(extract_variables(self.SIX), rng=random.Random(13))
         assert a == b
 
     def test_sampling_preserves_token_multiset(self):
         baseline = token_multiset(self.SIX)
-        for variant in generate_variants(self.SIX, rng=random.Random(0)):
+        for variant in enumerate_fillings(extract_variables(self.SIX), rng=random.Random(0)):
             assert token_multiset(variant) == baseline
 
     def test_custom_threshold_and_sample_size(self):
         src = "fn f() { let a = 1; let b = 2; let c = 3; }"
-        variants = generate_variants(
-            src, threshold=5, sample_size=2, rng=random.Random(1)
+        variants = enumerate_fillings(
+            extract_variables(src), threshold=5, sample_size=2, rng=random.Random(1)
         )
         assert len(variants) == 2
         assert len(set(variants)) == 2
