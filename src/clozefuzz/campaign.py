@@ -328,7 +328,6 @@ def _run(
         """Triage one compile. Runs on the campaign's thread in issue
         order, so the bug store, bundles and feedback seeds match any
         worker count."""
-        report.candidates_compiled += 1
         found = triage(
             outcome, result.candidate_text, target, store, report.outcomes
         )
@@ -405,40 +404,53 @@ def _run(
         return issued - issued_before
 
     def finalize() -> None:
+        # derived, so the tallies sum to it even when a run is cut
+        # between a compile's commit and its triage
+        report.candidates_compiled = sum(report.outcomes.values())
         report.corpus_size_final = len(corpus)
         report.elapsed_seconds = time.monotonic() - started
         report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         report.save(out_dir)
 
-    while True:
-        report.budget_exhausted = spent()
-        if report.budget_exhausted:
-            break
-        if idle >= idle_limit:
-            report.stalled = True
-            logger.warning(
-                "no fresh candidates in %d consecutive seed draws; stopping",
-                idle,
-            )
-            break
-
-        entry = corpus.sample(rng)
-        report.seeds_sampled += 1
+    def finalize_partial() -> None:
+        """Save what a cut run has, without masking why it was cut."""
         try:
-            issued_this_seed = process_seed(entry)
-        except HarnessError as exc:
-            # compiler vanished mid-run: stop gracefully, keep findings
-            report.aborted = f"compiler unavailable mid-run: {exc}"
-            logger.error(report.aborted)
-            break
-        except (BugStoreError, OSError) as exc:
+            finalize()
+        except OSError as exc:
+            logger.error("cannot save the partial report: %s", exc)
+
+    try:
+        while True:
+            report.budget_exhausted = spent()
+            if report.budget_exhausted:
+                break
+            if idle >= idle_limit:
+                report.stalled = True
+                logger.warning(
+                    "no fresh candidates in %d consecutive seed draws; stopping",
+                    idle,
+                )
+                break
+
+            entry = corpus.sample(rng)
+            report.seeds_sampled += 1
             try:
-                finalize()
-            except OSError:
-                pass
-            raise CampaignAbortedError(str(exc), partial_report=report) from exc
-        idle = 0 if issued_this_seed else idle + 1
+                issued_this_seed = process_seed(entry)
+            except HarnessError as exc:
+                # compiler vanished mid-run: stop gracefully, keep findings
+                report.aborted = f"compiler unavailable mid-run: {exc}"
+                logger.error(report.aborted)
+                break
+            except (BugStoreError, OSError) as exc:
+                finalize_partial()
+                raise CampaignAbortedError(str(exc), partial_report=report) from exc
+            idle = 0 if issued_this_seed else idle + 1
+    except KeyboardInterrupt:
+        # compiles committed so far keep their findings and tallies;
+        # the ones still in flight are cancelled uncounted
+        report.aborted = "interrupted"
+        finalize_partial()
+        raise
 
     finalize()
     return report
-

@@ -163,7 +163,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         workers=int(_merged(args, config, "workers", 1)),
         skip_preflight=bool(_merged(args, config, "skip_preflight", False)),
     )
-    report = run_campaign(campaign_cfg)
+    try:
+        report = run_campaign(campaign_cfg)
+    except KeyboardInterrupt:
+        # the campaign saved its report before letting the interrupt out
+        print("campaign aborted: interrupted", file=sys.stderr)
+        return 3
     sys.stdout.write(report.to_text())
     if report.aborted:
         print(f"campaign aborted: {report.aborted}", file=sys.stderr)

@@ -159,9 +159,9 @@ class Corpus:
     def open(cls, storage_dir: str | Path) -> "Corpus":
         """Load a persisted corpus from its manifest.
 
-        A manifest line that is not JSON (a torn append) is skipped
-        with a warning; a listed seed file that is missing or not UTF-8
-        is a CorpusError.
+        A manifest line that is not JSON (a torn append) or lacks a
+        field is skipped with a warning; a listed seed file that is
+        missing or not UTF-8 is a CorpusError.
         """
         root = Path(storage_dir)
         manifest = root / MANIFEST_NAME
@@ -175,12 +175,20 @@ class Corpus:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
+                record = None
+            if not isinstance(record, dict):
                 logger.warning("skipping corrupt manifest line in %s", manifest)
                 continue
             # every listed id counts, kept or not, so none is reissued
-            m = re.fullmatch(r"s(\d+)", record["id"])
+            m = re.fullmatch(r"s(\d+)", str(record.get("id")))
             if m:
                 corpus._counter = max(corpus._counter, int(m.group(1)))
+            if not all(
+                isinstance(record.get(key), str)
+                for key in ("id", "hash", "provenance", "path")
+            ):
+                logger.warning("skipping incomplete manifest line in %s", manifest)
+                continue
             path = root / record["path"]
             try:
                 text = path.read_text(encoding="utf-8")

@@ -25,9 +25,14 @@ from pathlib import Path
 COMPILER_KINDS = ("rustc", "mrustc", "scripted-fake")
 
 # rustc stopped accepting -O0 long ago; opt-level=0 is the spelling
-# that works. The fake compiler tolerates anything.
+# that works. --emit=obj runs every rustc pass through LLVM codegen but
+# stops before the system linker: a link failure is never a compiler
+# bug, and linking is about half of a small compile. A program that
+# fails only at link time therefore classifies as pass. To link
+# again, give --flags "-C opt-level=0". The fake compiler tolerates
+# anything.
 DEFAULT_FLAGS: dict[str, tuple[str, ...]] = {
-    "rustc": ("-C", "opt-level=0"),
+    "rustc": ("-C", "opt-level=0", "--emit=obj"),
     "mrustc": (),
     "scripted-fake": ("-O0",),
 }

@@ -229,6 +229,11 @@ class BugStore:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
+                record = None
+            # a torn append, or valid JSON that lacks the digest
+            if not isinstance(record, dict) or not isinstance(
+                record.get("digest"), str
+            ):
                 logger.warning("skipping corrupt journal line in %s", self.journal_path)
                 continue
             self._records[record["digest"]] = record

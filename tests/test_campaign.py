@@ -161,6 +161,25 @@ class TestBundles:
         digests = {r["digest"][:16] for r in store.records()}
         assert digests == {b.split("/")[1] for b in report.bundles}
 
+    def test_default_rustc_flags_reach_every_compile(
+        self, corpus_dir, tmp_path, scripted
+    ):
+        # a rustc-kind stand-in that logs its argv, so the default
+        # flags are seen without a toolchain
+        log = tmp_path / "argv.log"
+        body = f'echo "$*" >> {shlex.quote(str(log))}\n' + TRIGGER_BODY
+        compiler = CompilerConfig(binary_path=scripted("rustc", body), timeout_secs=5.0)
+        report, out = self.run_ice_campaign(corpus_dir, tmp_path, compiler)
+        expected = ["-C", "opt-level=0", "--emit=obj"]
+        # two preflight compiles, one per seed, then the two candidates
+        argvs = log.read_text().splitlines()
+        assert argvs == [" ".join([*expected, "input.rs"])] * 4
+        repro = (out / report.bundles[0] / "repro.sh").read_text()
+        assert shlex.split(repro.splitlines()[-1])[2:] == [*expected, "candidate.rs"]
+        saved = json.loads((out / "report.json").read_text())
+        assert saved["compilers"][0]["kind"] == "rustc"
+        assert saved["compilers"][0]["flags"] == expected
+
 
 class TestFeedback:
     def test_novel_finding_feeds_managed_corpus(self, tmp_path, trigger_compiler):
@@ -668,6 +687,11 @@ class TestDeterminismAcrossWorkers:
             t for t in threading.enumerate() if t.name.startswith("clozefuzz-")
         ]
         assert not list(work.glob("clozefuzz-*"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] == "interrupted"
+        # the compile cut in its triage is counted nowhere
+        assert report["candidates_compiled"] == 1
+        assert sum(report["outcomes"].values()) == report["candidates_compiled"]
 
 
 class TestReportBugUnit:

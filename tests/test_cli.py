@@ -10,6 +10,7 @@ import pytest
 from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY
 
 import clozefuzz
+from clozefuzz import campaign
 from clozefuzz.cli import main
 from clozefuzz.corpus import Corpus
 
@@ -212,6 +213,26 @@ class TestFuzzCommand:
         )
         assert rc == 3
         assert "aborted" in capsys.readouterr().err
+
+    def test_interrupted_campaign_exits_3_with_its_report(
+        self, corpus_dir, trigger_bin, mock_script, tmp_path, capsys, monkeypatch
+    ):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign, "classify", interrupt)
+        out = tmp_path / "out"
+        rc = main(
+            fuzz_args(
+                corpus_dir, trigger_bin, mock_script, out,
+                "--budget-candidates", "5", "--skip-preflight",
+            )
+        )
+        assert rc == 3
+        assert "campaign aborted: interrupted" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"] == "interrupted"
+        assert set(report) == FUZZ_REPORT_KEYS
 
     def test_report_keys_are_the_report_fields(
         self, corpus_dir, trigger_bin, mock_script, tmp_path

@@ -163,6 +163,30 @@ def test_open_skips_a_torn_manifest_line(tmp_path, caplog):
     assert "corrupt manifest line" in caplog.text
 
 
+@pytest.mark.parametrize(
+    ("line", "next_id"),
+    [
+        ('{"id": "s000005"}', "s000006"),
+        ('{"id": "s000005", "path": 7}', "s000006"),
+        ("[1, 2]", "s000002"),
+        ("null", "s000002"),
+    ],
+)
+def test_open_skips_a_valid_json_manifest_line_missing_fields(
+    tmp_path, caplog, line, next_id
+):
+    store = tmp_path / "corpus"
+    corpus = Corpus(store)
+    id_a, _ = corpus.add_entry("fn a() {}", "user-supplied")
+    with (store / "manifest.jsonl").open("a") as fh:
+        fh.write(line + "\n")
+    reopened = Corpus.open(store)
+    assert [e.id for e in reopened.entries()] == [id_a]
+    assert "manifest line" in caplog.text
+    # a skipped line's well-formed id still counts, so it is never reissued
+    assert reopened.add_entry("fn b() {}", "user-supplied")[0] == next_id
+
+
 @pytest.mark.parametrize("damage", ["missing", "undecodable"])
 def test_open_unreadable_seed_file_is_a_corpus_error(tmp_path, damage):
     store = tmp_path / "corpus"

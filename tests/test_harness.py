@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from clozefuzz.harness import (
     ensure_compiler,
     time_passes,
 )
+from clozefuzz.oracle import BugKind, classify
 
 
 def fake_cfg(binary, **kw):
@@ -35,7 +37,9 @@ def test_default_timeout_is_180_seconds():
 
 
 def test_default_flags_per_kind():
-    assert CompilerConfig(binary_path="rustc").extra_flags == ("-C", "opt-level=0")
+    assert CompilerConfig(binary_path="rustc").extra_flags == (
+        "-C", "opt-level=0", "--emit=obj",
+    )
     assert CompilerConfig(binary_path="x", kind="scripted-fake").extra_flags == ("-O0",)
     assert CompilerConfig(binary_path="x", kind="mrustc").extra_flags == ()
     # explicit flags are kept verbatim
@@ -167,3 +171,22 @@ def test_time_passes_skips_malformed_seconds(scripted):
     cfg = fake_cfg(scripted("tp2", body))
     outcome = compile_program("fn main() {}", cfg)
     assert time_passes(outcome) == [("good_pass", 0.5)]
+
+
+@pytest.mark.skipif(
+    shutil.which("rustc") is None, reason="no rustc toolchain on PATH"
+)
+def test_default_rustc_flags_skip_the_link():
+    # type-checks and codegens, but the symbol only fails to resolve
+    # in the linker: without a link it is a pass, with one a reject
+    program = (
+        'extern "C" { fn cfz_missing_symbol(); }\n'
+        "fn main() { unsafe { cfz_missing_symbol() } }\n"
+    )
+    unlinked = compile_program(program, CompilerConfig(binary_path="rustc"))
+    assert classify(unlinked, "rustc") is BugKind.PASS, unlinked.stderr
+    linked = compile_program(
+        program,
+        CompilerConfig(binary_path="rustc", extra_flags=("-C", "opt-level=0")),
+    )
+    assert classify(linked, "rustc") is BugKind.REJECT, linked.stderr

@@ -237,6 +237,16 @@ class TestBugStore:
         reopened = BugStore(root)
         assert len(reopened) == 2
 
+    def test_journal_lines_without_a_digest_are_skipped(self, tmp_path):
+        root = tmp_path / "store"
+        sig = self.sig(RUSTC_ICE_STDERR)
+        BugStore(root).record_if_new(sig, "fn a() {}")
+        with (root / "signatures.jsonl").open("a") as fh:
+            fh.write('{"kind": "ice"}\n{"digest": 3}\n[1]\n')
+        reopened = BugStore(root)
+        assert len(reopened) == 1
+        assert reopened.record_if_new(sig, "fn a() {}") is Novelty.DUPLICATE
+
     def test_unwritable_root_raises(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
