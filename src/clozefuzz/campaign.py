@@ -232,11 +232,10 @@ def report_bug(
         encoding="utf-8",
     )
 
-    cmd = [ensure_compiler(target), *target.extra_flags, "candidate.rs"]
     script = (
         "#!/bin/sh\n"
         'cd "$(dirname "$0")"\n'
-        f"exec {shlex.join(cmd)}\n"
+        f"exec {shlex.join(target.command('candidate.rs'))}\n"
     )
     repro = bundle / "repro.sh"
     repro.write_text(script, encoding="utf-8")

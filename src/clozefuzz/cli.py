@@ -261,16 +261,20 @@ def cmd_spe(args: argparse.Namespace) -> int:
         store = BugStore(out / "bugstore")
         outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
         novelty = dict.fromkeys(Novelty, 0)
-        for text in generated:
-            try:
-                outcome = compile_program(text, target)
-            except HarnessError as exc:
-                # compiler vanished mid-run: report the tallies so far
-                aborted = f"compiler unavailable mid-run: {exc}"
-                break
-            found = triage(outcome, text, target, store, outcomes)
-            if found is not None:
-                novelty[found[1]] += 1
+        try:
+            for text in generated:
+                try:
+                    outcome = compile_program(text, target)
+                except HarnessError as exc:
+                    # compiler vanished mid-run: report the tallies so far
+                    aborted = f"compiler unavailable mid-run: {exc}"
+                    break
+                found = triage(outcome, text, target, store, outcomes)
+                if found is not None:
+                    novelty[found[1]] += 1
+        except KeyboardInterrupt:
+            # as fuzz does: the compiles triaged so far keep their tallies
+            aborted = "interrupted"
         summary.update(
             outcomes,
             interesting=novelty[Novelty.INTERESTING],

@@ -9,6 +9,13 @@ through the compiler flags) without compiling the program again.
 
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
+
+Each target's command is resolved once (``ensure_compiler``). A rustc
+target that is rustup's proxy is replaced there by its toolchain's own
+rustc, found with one ``--print sysroot`` probe, because the proxy
+re-reads rustup's settings on every run before it starts that same
+binary; a leading ``+toolchain`` flag picks the toolchain at that
+point. Every other target runs as given.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 COMPILER_KINDS = ("rustc", "mrustc", "scripted-fake")
@@ -49,9 +56,12 @@ ENV_ALLOWLIST = (
     "USER",
     "LANG",
     "LC_ALL",
-    # rustup installs rustc as a shim that resolves the real toolchain
-    # through these; stripping them makes every compile fail before it
-    # ever reaches the compiler under test
+    # rustup installs rustc as a proxy that resolves the real toolchain
+    # through these. A rustc proxy is run once, for the sysroot probe,
+    # and then bypassed; other targets (wrapper scripts, a proxy whose
+    # probe failed) may still go through rustup on every compile, and
+    # stripping these makes each of those compiles fail before it ever
+    # reaches the compiler under test
     "RUSTUP_HOME",
     "CARGO_HOME",
     "RUSTUP_TOOLCHAIN",
@@ -71,6 +81,10 @@ class CompilerConfig:
     kind: str = "rustc"
     extra_flags: tuple[str, ...] | None = None
     timeout_secs: float = 180.0
+    # the argv before the input file, set by ensure_compiler on first use
+    _argv: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in COMPILER_KINDS:
@@ -85,12 +99,20 @@ class CompilerConfig:
     def resolved_binary(self) -> str:
         if Path(self.binary_path).is_file():
             # absolute, because compiles run from a scratch directory;
-            # not resolved, because a rustup shim dispatches on its name
+            # not resolved, because a rustup proxy dispatches on its
+            # name (ensure_compiler may later bypass the proxy)
             return os.path.abspath(self.binary_path)
         found = shutil.which(self.binary_path)
         if found:
             return found
         raise HarnessError(f"compiler binary not found: {self.binary_path}")
+
+    def command(self, input_name: str) -> list[str]:
+        """The argv that compiles ``input_name``, resolved once per
+        config by ``ensure_compiler``. Compiles and each bundle's
+        ``repro.sh`` both use it, so a bundle reruns the exact binary
+        the campaign ran."""
+        return [*ensure_compiler(self), input_name]
 
 
 @dataclass
@@ -103,16 +125,64 @@ class CompileOutcome:
     artifact_present: bool
 
 
-def ensure_compiler(cfg: CompilerConfig) -> str:
-    """Resolve the binary and require it to be executable.
+def ensure_compiler(cfg: CompilerConfig) -> tuple[str, ...]:
+    """Resolve the binary, require it to be executable, and return the
+    argv that precedes the input file.
 
     Raised errors here are hard: callers check availability before
-    spending any compile budget.
+    spending any compile budget. A rustc target that is rustup's proxy
+    resolves to its toolchain's rustc, without a leading ``+toolchain``
+    flag. The result is cached on ``cfg``, so a campaign, its preflight
+    and every pool thread share one resolution and one probe; two
+    threads racing on first use compute the same value.
     """
-    binary = cfg.resolved_binary()
-    if not os.access(binary, os.X_OK):
-        raise HarnessError(f"compiler binary not executable: {binary}")
-    return binary
+    argv = cfg._argv
+    if argv is None:
+        binary = cfg.resolved_binary()
+        if not os.access(binary, os.X_OK):
+            raise HarnessError(f"compiler binary not executable: {binary}")
+        direct = None
+        if cfg.kind == "rustc" and _is_rustup_proxy(binary):
+            direct = _toolchain_argv(binary, cfg)
+        argv = cfg._argv = direct or (binary, *cfg.extra_flags)
+    return argv
+
+
+def _is_rustup_proxy(binary: str) -> bool:
+    rustup = os.path.join(os.path.dirname(binary), "rustup")
+    try:
+        # samefile follows rustup's symlinks and sees its hardlinks
+        return os.access(rustup, os.X_OK) and os.path.samefile(binary, rustup)
+    except OSError:
+        return False
+
+
+def _toolchain_argv(proxy: str, cfg: CompilerConfig) -> tuple[str, ...] | None:
+    """The argv that runs the toolchain rustc behind a rustup proxy
+    directly, or None when the proxy cannot name one.
+
+    The probe runs from the parent of every compile's scratch directory,
+    so rustup applies the toolchain overrides a compile would see there.
+    """
+    flags = cfg.extra_flags
+    plus = flags[:1] if flags and flags[0].startswith("+") else ()
+    try:
+        done = subprocess.run(
+            [proxy, *plus, "--print", "sysroot"],
+            cwd=tempfile.gettempdir(),
+            env=_subprocess_env(),
+            capture_output=True,
+            timeout=cfg.timeout_secs,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    sysroot = done.stdout.decode("utf-8", errors="replace").strip()
+    if done.returncode != 0 or not sysroot:
+        return None
+    rustc = os.path.join(sysroot, "bin", "rustc")
+    if not (os.path.isfile(rustc) and os.access(rustc, os.X_OK)):
+        return None
+    return (rustc, *flags[len(plus):])
 
 
 def _subprocess_env() -> dict[str, str]:
@@ -149,13 +219,14 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     and temporaries stay contained.
     On timeout the whole process group is killed, so rustc's child
     processes do not linger, and what it printed until then is kept.
+    An exception that cuts the wait short, such as Ctrl-C, kills the
+    group too before it propagates.
     """
-    binary = ensure_compiler(cfg)
+    cmd = cfg.command("input.rs")
     workdir = tempfile.mkdtemp(prefix="clozefuzz-")
     input_path = Path(workdir) / "input.rs"
     input_path.write_text(program, encoding="utf-8")
 
-    cmd = [binary, *cfg.extra_flags, "input.rs"]
     started = time.monotonic()
     timed_out = False
     try:
@@ -169,7 +240,7 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
         )
     except OSError as exc:
         shutil.rmtree(workdir, ignore_errors=True)
-        raise HarnessError(f"failed to spawn {binary}: {exc}") from exc
+        raise HarnessError(f"failed to spawn {cmd[0]}: {exc}") from exc
 
     try:
         out, err = proc.communicate(timeout=cfg.timeout_secs)
@@ -177,6 +248,15 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
         timed_out = True
         _kill_process_group(proc)
         out, err = proc.communicate()
+    except BaseException:
+        # a caller interrupted mid-compile (Ctrl-C in spe) must not
+        # leave the compile running on its own in its own session
+        _kill_process_group(proc)
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait()
+        shutil.rmtree(workdir, ignore_errors=True)
+        raise
     wall = time.monotonic() - started
 
     artifact_present = any(

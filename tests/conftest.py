@@ -90,6 +90,52 @@ def scripted(tmp_path):
     return make
 
 
+@pytest.fixture
+def rustup_layout(tmp_path):
+    """Factory for a fake rustup install under tmp_path.
+
+    ``bin/rustup`` is a script and ``bin/rustc`` a symlink to it, as
+    rustup installs its proxies; ``toolchain/bin/rustc`` runs ``body``.
+    Every process appends one line to the returned log: the proxy's
+    sysroot probe ``probe CWD ARGS``, any other proxy run ``proxy
+    ARGS``, and the toolchain rustc ``$0 ARGS``. ``probe_exit`` is the
+    probe's exit status; ``toolchain_rustc=False`` leaves the sysroot
+    without ``bin/rustc``. Returns ``(proxy path, log path, toolchain
+    rustc path)``.
+    """
+
+    def make(body=OK_BODY, probe_exit=0, toolchain_rustc=True):
+        log = tmp_path / "calls.log"
+        sysroot = tmp_path / "toolchain"
+        (sysroot / "bin").mkdir(parents=True)
+        rustc = sysroot / "bin" / "rustc"
+        if toolchain_rustc:
+            rustc.write_text(
+                f'#!/bin/sh\necho "$0 $*" >> "{log}"\n'
+                + textwrap.dedent(body).lstrip("\n")
+            )
+            rustc.chmod(0o755)
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        rustup = bindir / "rustup"
+        rustup.write_text(
+            "#!/bin/sh\n"
+            'case " $* " in\n'
+            '  *" --print sysroot "*)\n'
+            f'    echo "probe $(pwd) $*" >> "{log}"\n'
+            f'    echo "{sysroot}"\n'
+            f"    exit {probe_exit} ;;\n"
+            "esac\n"
+            f'echo "proxy $*" >> "{log}"\n'
+            "exit 0\n"
+        )
+        rustup.chmod(0o755)
+        (bindir / "rustc").symlink_to("rustup")
+        return str(bindir / "rustc"), log, str(rustc)
+
+    return make
+
+
 # --- acceptance summary: one pass/fail line per criterion ---------------------
 
 _acceptance_results: dict[str, str] = {}

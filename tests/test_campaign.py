@@ -181,6 +181,44 @@ class TestBundles:
         assert saved["compilers"][0]["flags"] == expected
 
 
+class TestRustupProxy:
+    def test_one_probe_per_campaign(self, corpus_dir, tmp_path, rustup_layout):
+        proxy, log, toolchain_rustc = rustup_layout(TRIGGER_BODY)
+        compiler = CompilerConfig(binary_path=proxy, timeout_secs=5.0)
+        cfg = make_config(
+            corpus_dir, tmp_path, compiler, ["ok()", "0xBUG boom()"],
+            budget=6, workers=2,
+        )
+        report = run_campaign(cfg)
+        assert report.candidates_compiled == 6
+        probe, *compiles = log.read_text().splitlines()
+        assert probe.startswith("probe ")
+        # two preflight compiles, then the six candidates, all direct
+        assert len(compiles) == 2 + 6
+        assert {c.split()[0] for c in compiles} == {toolchain_rustc}
+
+    def test_repro_script_runs_what_the_campaign_ran(
+        self, corpus_dir, tmp_path, rustup_layout
+    ):
+        proxy, log, toolchain_rustc = rustup_layout(TRIGGER_BODY)
+        compiler = CompilerConfig(
+            binary_path=proxy, extra_flags=("+tc", "--emit=obj"), timeout_secs=5.0
+        )
+        cfg = make_config(corpus_dir, tmp_path, compiler, ["0xBUG boom()"], budget=1)
+        report = run_campaign(cfg)
+        compiled = log.read_text().splitlines()[-1]
+        assert compiled == f"{toolchain_rustc} --emit=obj input.rs"
+        repro = tmp_path / "out" / report.bundles[0] / "repro.sh"
+        proc = subprocess.run([str(repro)], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 101
+        # the toolchain is named by its binary, not re-resolved by rustup
+        assert log.read_text().splitlines()[-2:] == [
+            compiled, compiled.replace("input.rs", "candidate.rs"),
+        ]
+        saved = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert saved["compilers"][0]["flags"] == ["+tc", "--emit=obj"]
+
+
 class TestFeedback:
     def test_novel_finding_feeds_managed_corpus(self, tmp_path, trigger_compiler):
         managed = tmp_path / "managed"

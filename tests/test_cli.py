@@ -10,7 +10,7 @@ import pytest
 from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY
 
 import clozefuzz
-from clozefuzz import campaign
+from clozefuzz import campaign, cli
 from clozefuzz.cli import main
 from clozefuzz.corpus import Corpus
 
@@ -428,6 +428,36 @@ class TestSpeCommand:
         )
         assert rc == 3
         assert "spe aborted: " in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
+        assert report["programs_generated"] == 5
+        assert report["pass"] == 1
+        assert "pass: 1" in (out / "report.txt").read_text()
+
+    def test_interrupted_run_exits_3_with_its_report(
+        self, spe_corpus, tmp_path, trigger_bin, capsys, monkeypatch
+    ):
+        triage = cli.triage
+        calls = 0
+
+        def interrupt_second(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise KeyboardInterrupt
+            return triage(*args)
+
+        monkeypatch.setattr(cli, "triage", interrupt_second)
+        out = tmp_path / "out"
+        rc = main(
+            spe_args(
+                spe_corpus, out,
+                "--compiler", str(trigger_bin),
+                "--compiler-kind", "scripted-fake",
+            )
+        )
+        assert rc == 3
+        assert "spe aborted: interrupted" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
         assert report["programs_generated"] == 5

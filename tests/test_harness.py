@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
 import time
 
 import pytest
@@ -90,6 +96,36 @@ def test_timeout_kills_the_process_tree(scripted):
     assert outcome.timed_out
     assert outcome.wall_time >= 1.0
     assert elapsed < 5.0
+
+
+def test_an_interrupt_mid_compile_kills_the_compile(scripted, tmp_path):
+    pidfile = tmp_path / "pid"
+    cfg = fake_cfg(scripted("sleeper", f'echo $$ > "{pidfile}"\nsleep 30\n'))
+
+    def interrupt(signum, frame):
+        # like Ctrl-C, once the compile is surely running
+        if pidfile.exists() and pidfile.read_text().strip():
+            raise KeyboardInterrupt
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            compile_program("fn main() {}", cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pid = int(pidfile.read_text())
+    try:
+        # reaped already, so the pid no longer names a process
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    finally:
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def test_stream_cap_truncates_large_output(scripted):
@@ -190,3 +226,131 @@ def test_default_rustc_flags_skip_the_link():
         CompilerConfig(binary_path="rustc", extra_flags=("-C", "opt-level=0")),
     )
     assert classify(linked, "rustc") is BugKind.REJECT, linked.stderr
+
+
+def logged(log):
+    return log.read_text().splitlines() if log.exists() else []
+
+
+def test_rustup_proxy_is_resolved_to_the_toolchain_rustc(rustup_layout):
+    proxy, log, toolchain_rustc = rustup_layout()
+    cfg = CompilerConfig(binary_path=proxy, extra_flags=("+tc", "-C", "opt-level=0"))
+    for _ in range(3):
+        assert compile_program("fn main() {}", cfg).exit_status == 0
+    probe, *compiles = logged(log)
+    # one probe, for the toolchain the leading +tc names, from the
+    # directory every compile's scratch directory is made in
+    cwd = os.path.realpath(tempfile.gettempdir())
+    assert probe == f"probe {cwd} +tc --print sysroot"
+    assert compiles == [f"{toolchain_rustc} -C opt-level=0 input.rs"] * 3
+    assert cfg.command("x.rs") == [toolchain_rustc, "-C", "opt-level=0", "x.rs"]
+
+
+def test_threads_racing_on_first_use_agree_on_the_command(rustup_layout):
+    proxy, _, toolchain_rustc = rustup_layout()
+    cfg = CompilerConfig(binary_path=proxy)
+    start = threading.Barrier(8)
+    commands = []
+
+    def first_use():
+        start.wait(timeout=10)
+        commands.append(cfg.command("input.rs"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = [toolchain_rustc, "-C", "opt-level=0", "--emit=obj", "input.rs"]
+    assert commands == [expected] * 8
+
+
+@pytest.mark.parametrize("case", ["no sibling rustup", "wrapper next to rustup"])
+def test_a_rustc_that_is_not_the_proxy_runs_as_given(
+    rustup_layout, scripted, tmp_path, case
+):
+    log = tmp_path / "wrapper.log"
+    body = f'echo "$0 $*" >> "{log}"\nexit 0\n'
+    if case == "no sibling rustup":
+        (tmp_path / "alone").mkdir()
+        rustc = scripted("alone/rustc", body)
+    else:
+        proxy, _, _ = rustup_layout()
+        os.remove(proxy)
+        rustc = scripted("bin/rustc", body)
+    cfg = CompilerConfig(binary_path=rustc, extra_flags=("+tc", "-C", "opt-level=0"))
+    compile_program("fn main() {}", cfg)
+    compile_program("fn main() {}", cfg)
+    assert logged(log) == [f"{rustc} +tc -C opt-level=0 input.rs"] * 2
+    assert not logged(tmp_path / "calls.log")
+
+
+@pytest.mark.parametrize(
+    "layout", [{"probe_exit": 1}, {"toolchain_rustc": False}],
+    ids=["probe fails", "no toolchain rustc"],
+)
+def test_a_proxy_that_names_no_toolchain_rustc_runs_as_given(rustup_layout, layout):
+    proxy, log, _ = rustup_layout(**layout)
+    cfg = CompilerConfig(binary_path=proxy, extra_flags=("+tc", "--emit=obj"))
+    compile_program("fn main() {}", cfg)
+    compile_program("fn main() {}", cfg)
+    # the probe is not retried, and the proxy keeps every flag
+    assert logged(log) == [
+        f"probe {os.path.realpath(tempfile.gettempdir())} +tc --print sysroot",
+        "proxy +tc --emit=obj input.rs",
+        "proxy +tc --emit=obj input.rs",
+    ]
+
+
+@pytest.mark.parametrize("where", ["alone", "proxy layout"])
+def test_a_fake_compiler_is_one_spawn_per_compile_and_never_probed(
+    rustup_layout, scripted, tmp_path, where
+):
+    if where == "alone":
+        log = tmp_path / "fake.log"
+        binary = scripted("fake", f'echo "$0 $*" >> "{log}"\nexit 0\n')
+    else:
+        # even a fake that is rustup's proxy by every other test
+        binary, log, _ = rustup_layout()
+    cfg = fake_cfg(binary)
+    for _ in range(4):
+        compile_program("fn main() {}", cfg)
+    lines = logged(log)
+    assert len(lines) == 4
+    assert all(line.endswith(" -O0 input.rs") for line in lines)
+    assert not any("--print sysroot" in line for line in lines)
+
+
+def _rustup_proxy_on_path() -> bool:
+    rustc = shutil.which("rustc")
+    if rustc is None:
+        return False
+    rustup = os.path.join(os.path.dirname(rustc), "rustup")
+    return os.path.exists(rustup) and os.path.samefile(rustc, rustup)
+
+
+@pytest.mark.skipif(
+    not _rustup_proxy_on_path(), reason="rustc on PATH is not a rustup proxy"
+)
+def test_live_rustup_proxy_runs_the_toolchain_rustc():
+    sysroot = subprocess.run(
+        ["rustc", "--print", "sysroot"],
+        cwd=tempfile.gettempdir(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.strip()
+    cfg = CompilerConfig(binary_path="rustc")
+    outcome = compile_program("fn main() {}\n", cfg)
+    assert classify(outcome, "rustc") is BugKind.PASS, outcome.stderr
+    assert cfg.command("input.rs") == [
+        os.path.join(sysroot, "bin", "rustc"),
+        "-C", "opt-level=0", "--emit=obj", "input.rs",
+    ]
