@@ -33,6 +33,7 @@ from .harness import (
     HarnessError,
     compile_program,
     ensure_compiler,
+    kill_running_compiles,
     time_passes,
 )
 from .infill import BackendError, InfillConfig, InfillResult, infill
@@ -263,6 +264,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     )
     try:
         return _run(cfg, pool, started, out_dir)
+    except KeyboardInterrupt:
+        # the report is saved. Queued compiles are dropped first, so no
+        # worker freed by the kill starts another; running ones are
+        # killed, not waited for, and none of them is counted
+        pool.shutdown(wait=False, cancel_futures=True)
+        kill_running_compiles()
+        raise
     finally:
         # queued compiles never start; running ones finish and clean up
         pool.shutdown(cancel_futures=True)

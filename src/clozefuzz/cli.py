@@ -43,7 +43,7 @@ from .harness import (
 )
 from .infill import DEFAULT_SENTINEL, HttpBackend, InfillConfig, backend_from_spec
 from .masking import cloze, render
-from .mining import MiningError, harvest
+from .mining import DEFAULT_LABELS, MiningError, harvest
 from .oracle import BugKind, BugStore, Novelty, classify, signature
 from .spe import (
     ENUMERATION_THRESHOLD,
@@ -190,10 +190,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             until = datetime.fromisoformat(args.until.replace("Z", "+00:00"))
         except ValueError as exc:
             raise ConfigError(f"bad --until timestamp: {args.until}") from exc
-    labels = tuple(x for x in (args.labels or "").split(",") if x) or (
-        "C-bug",
-        "T-compiler",
-    )
+    labels = tuple(x for x in (args.labels or "").split(",") if x) or DEFAULT_LABELS
     inserted = harvest(
         corpus,
         fixture_dir=args.fixture_dir,

@@ -6,6 +6,8 @@ capture. Output printed before a timeout is kept, so ``time_passes``
 can locate a hang from the pass-timing lines of the compile that timed
 out (rustc prints them under ``-Ztime-passes``, which callers opt into
 through the compiler flags) without compiling the program again.
+A compile is registered while it runs, so ``kill_running_compiles``
+can stop them all at once when a campaign is interrupted.
 
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
@@ -25,6 +27,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -211,6 +214,22 @@ def _kill_process_group(proc: subprocess.Popen) -> None:
         pass
 
 
+# every compile between its spawn and the return of its wait, so an
+# interrupted campaign can stop the compiles its pool threads wait on
+_running: set[subprocess.Popen] = set()
+_running_lock = threading.Lock()
+
+
+def kill_running_compiles() -> None:
+    """Kill the process group of every compile still running in this
+    process. Their ``compile_program`` calls then return promptly, with
+    the outcome of a killed process."""
+    with _running_lock:
+        for proc in _running:
+            if proc.returncode is None:
+                _kill_process_group(proc)
+
+
 def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     """Compile one program text and report what happened.
 
@@ -242,6 +261,8 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
         shutil.rmtree(workdir, ignore_errors=True)
         raise HarnessError(f"failed to spawn {cmd[0]}: {exc}") from exc
 
+    with _running_lock:
+        _running.add(proc)
     try:
         out, err = proc.communicate(timeout=cfg.timeout_secs)
     except subprocess.TimeoutExpired:
@@ -257,6 +278,9 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
         proc.wait()
         shutil.rmtree(workdir, ignore_errors=True)
         raise
+    finally:
+        with _running_lock:
+            _running.discard(proc)
     wall = time.monotonic() - started
 
     artifact_present = any(

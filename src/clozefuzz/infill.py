@@ -114,10 +114,8 @@ class EchoBackend:
 
     def __init__(self, sentinel: str = DEFAULT_SENTINEL):
         self.sentinel = sentinel
-        self.calls: list[CompletionRequest] = []
 
     def complete(self, request: CompletionRequest) -> str:
-        self.calls.append(request)
         return request.original_interior
 
 

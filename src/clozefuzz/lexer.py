@@ -4,10 +4,34 @@ Splits a program into contiguous tokens so downstream passes can find
 bracket structure without being fooled by string literals, comments,
 char literals, or lifetimes. The stream is lossless: concatenating the
 token texts reproduces the input byte for byte.
+
+``_RULES`` is the one statement of the lexical rules: one row per
+token kind, compiled into a single pattern that is matched at each
+position. Alternation in ``re`` is ordered, not longest-match, so the
+first row that matches wins, and the table's order carries the rules'
+priorities: each constraint it relies on is noted on its row. The last
+row ends in a catch-all for any one character, so every position
+matches.
+
+Nested block comments are the one rule a pattern cannot count. The
+table matches only the opening ``/*``; a loop then walks the ``/*``
+and ``*/`` delimiters after it, left to right and without overlap,
+until the depth is back to zero. Literals and comments left open run
+to the end of input.
+
+Character classes are ``re``'s Unicode classes: whitespace is ``\\s``
+(``str.isspace``), a word character is ``\\w`` (``str.isalnum`` or
+``_``), a digit is ``\\d`` (``str.isdecimal``), and an identifier or
+lifetime starts with ``[^\\W\\d]``. So a character that is numeric but
+not a decimal digit, such as ``²``, ``½`` or ``Ⅻ``, can start an
+identifier and never starts or continues a number. rustc agrees on
+``Ⅻ``, an identifier, and rejects ``²`` outright, so either reading of
+``²`` is as good.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,199 +73,72 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-OPEN_BRACKETS = "([{"
-CLOSE_BRACKETS = ")]}"
 
-# Maximal munch: multi-character operators are single punct tokens, so a
-# ">>" in Vec<Vec<u8>> never reads as two closing angles downstream.
-_PUNCTS_3 = ("<<=", ">>=", "..=", "...")
-_PUNCTS_2 = (
-    "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
+def _quoted(quote: str) -> str:
+    """A literal from its opening ``quote`` to the next unescaped one,
+    or to the end of input, unrolled so each character is looked at
+    once."""
+    return rf"{quote}[^{quote}\\]*(?:\\[\s\S]?[^{quote}\\]*)*{quote}?"
+
+
+# (row, pattern), tried in order at each position. A row name is a
+# TokenKind name, except BLOCK_COMMENT and WORD, which lex() resolves.
+_RULES = (
+    ("WHITESPACE", r"\s+"),
+    ("COMMENT", r"//[^\n]*"),
+    ("BLOCK_COMMENT", r"/\*"),
+    # raw strings and byte strings before WORD, which would take the
+    # r or b prefix; a raw string ends at the first quote followed by
+    # as many hashes as it opened with
+    (
+        "STRING",
+        r'b?r(?P<hashes>#*)"(?:[^"]*"(?!(?P=hashes)))*[^"]*(?:"(?P=hashes))?|b?'
+        + _quoted('"'),
+    ),
+    # byte chars before WORD; 'x' chars before LIFETIME, which would
+    # take the 'x of 'x'; a char with an escape runs to its closing
+    # quote like a string
+    ("CHAR", r"(?:b|(?='\\))" + _quoted("'") + r"|'[^'\\]'"),
+    ("LIFETIME", r"'[^\W\d]\w*"),
+    # one dot at most, and only before a digit: 0..5 is a range
+    ("LITERAL", r"\d\w*(?:\.\d\w*)?"),
+    # raw identifiers (r#type) before plain words
+    ("WORD", r"(?:r#)?[^\W\d]\w*"),
+    ("OPEN_BRACKET", r"[(\[{]"),
+    ("CLOSE_BRACKET", r"[)\]}]"),
+    # maximal munch: three-character operators before two-character
+    # ones, so a >> in Vec<Vec<u8>> never reads as two closing angles;
+    # the one-character catch-all last
+    (
+        "PUNCT",
+        r"<<=|>>=|\.\.=|\.\.\.|::|->|=>|==|!=|<=|>=|&&|\|\||<<|>>|[-+*/%^&|]="
+        r"|\.\.|[\s\S]",
+    ),
 )
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_continue(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+_TOKEN = re.compile("|".join(f"(?P<{name}>{rule})" for name, rule in _RULES))
+_COMMENT_DELIMITER = re.compile(r"/\*|\*/")
 
 
 def lex(source: str) -> LexResult:
     tokens: list[Token] = []
     n = len(source)
-    i = 0
-
-    def emit(kind: TokenKind, start: int, end: int) -> None:
-        tokens.append(Token(kind, start, end, source[start:end]))
-
-    def scan_quoted(pos: int, quote: str) -> int:
-        """Scan past a quoted literal body starting after the opening
-        quote at ``pos``. Returns its end index; an unclosed literal
-        runs to the end of input."""
-        j = pos + 1
-        while j < n:
-            ch = source[j]
-            if ch == "\\":
-                j += 2
-                continue
-            if ch == quote:
-                return j + 1
-            j += 1
-        return n
-
-    def scan_raw_string(pos: int) -> int | None:
-        """Try to scan r"..." / r#"..."# starting at the char after the
-        prefix. Returns its end index, or None when this is not a raw
-        string opener."""
-        j = pos
-        hashes = 0
-        while j < n and source[j] == "#":
-            hashes += 1
-            j += 1
-        if j >= n or source[j] != '"':
-            return None
-        terminator = '"' + "#" * hashes
-        at = source.find(terminator, j + 1)
-        return n if at == -1 else at + len(terminator)
-
-    while i < n:
-        c = source[i]
-        start = i
-
-        if c.isspace():
-            while i < n and source[i].isspace():
-                i += 1
-            emit(TokenKind.WHITESPACE, start, i)
-            continue
-
-        if source.startswith("//", i):
-            at = source.find("\n", i)
-            i = n if at == -1 else at
-            emit(TokenKind.COMMENT, start, i)
-            continue
-
-        if source.startswith("/*", i):
-            depth = 1
-            i += 2
-            while i < n and depth:
-                if source.startswith("/*", i):
-                    depth += 1
-                    i += 2
-                elif source.startswith("*/", i):
-                    depth -= 1
-                    i += 2
-                else:
-                    i += 1
-            emit(TokenKind.COMMENT, start, i)
-            continue
-
-        if c == "r":
-            scanned = scan_raw_string(i + 1)
-            if scanned is not None:
-                i = scanned
-                emit(TokenKind.STRING, start, i)
-                continue
-            if source.startswith("r#", i) and i + 2 < n and _is_ident_start(source[i + 2]):
-                # raw identifier r#type
-                i += 2
-                while i < n and _is_ident_continue(source[i]):
-                    i += 1
-                emit(TokenKind.IDENTIFIER, start, i)
-                continue
-
-        if c == "b":
-            if i + 1 < n and source[i + 1] == '"':
-                i = scan_quoted(i + 1, '"')
-                emit(TokenKind.STRING, start, i)
-                continue
-            if i + 1 < n and source[i + 1] == "'":
-                i = scan_quoted(i + 1, "'")
-                emit(TokenKind.CHAR, start, i)
-                continue
-            if i + 1 < n and source[i + 1] == "r":
-                scanned = scan_raw_string(i + 2)
-                if scanned is not None:
-                    i = scanned
-                    emit(TokenKind.STRING, start, i)
-                    continue
-
-        if c == '"':
-            i = scan_quoted(i, '"')
-            emit(TokenKind.STRING, start, i)
-            continue
-
-        if c == "'":
-            nxt = source[i + 1] if i + 1 < n else ""
-            if nxt == "\\":
-                i = scan_quoted(i, "'")
-                emit(TokenKind.CHAR, start, i)
-                continue
-            # 'x' is a char; 'x followed by anything else is a lifetime
-            if nxt and nxt != "'" and i + 2 < n and source[i + 2] == "'":
-                i += 3
-                emit(TokenKind.CHAR, start, i)
-                continue
-            if nxt and _is_ident_start(nxt):
-                i += 1
-                while i < n and _is_ident_continue(source[i]):
-                    i += 1
-                emit(TokenKind.LIFETIME, start, i)
-                continue
-            i += 1
-            emit(TokenKind.PUNCT, start, i)
-            continue
-
-        if c.isdigit():
-            i += 1
-            seen_dot = False
-            while i < n:
-                ch = source[i]
-                if _is_ident_continue(ch):
-                    i += 1
-                elif (
-                    ch == "."
-                    and not seen_dot
-                    and i + 1 < n
-                    and source[i + 1].isdigit()
-                ):
-                    seen_dot = True
-                    i += 1
-                else:
+    pos = 0
+    while pos < n:
+        match = _TOKEN.match(source, pos)
+        name, end = match.lastgroup, match.end()
+        if name == "BLOCK_COMMENT":
+            name, depth, end = "COMMENT", 1, n
+            for delimiter in _COMMENT_DELIMITER.finditer(source, pos + 2):
+                depth += 1 if delimiter.group() == "/*" else -1
+                if not depth:
+                    end = delimiter.end()
                     break
-            emit(TokenKind.LITERAL, start, i)
-            continue
-
-        if _is_ident_start(c):
-            i += 1
-            while i < n and _is_ident_continue(source[i]):
-                i += 1
-            text = source[start:i]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            emit(kind, start, i)
-            continue
-
-        if c in OPEN_BRACKETS:
-            i += 1
-            emit(TokenKind.OPEN_BRACKET, start, i)
-            continue
-        if c in CLOSE_BRACKETS:
-            i += 1
-            emit(TokenKind.CLOSE_BRACKET, start, i)
-            continue
-
-        matched = None
-        for group in (_PUNCTS_3, _PUNCTS_2):
-            for op in group:
-                if source.startswith(op, i):
-                    matched = op
-                    break
-            if matched:
-                break
-        i += len(matched) if matched else 1
-        emit(TokenKind.PUNCT, start, i)
-
+        text = source[pos:end]
+        if name == "WORD":
+            name = "KEYWORD" if text in KEYWORDS else "IDENTIFIER"
+        tokens.append(Token(TokenKind[name], pos, end, text))
+        pos = end
     return LexResult(tokens=tokens)
 
 

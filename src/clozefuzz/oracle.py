@@ -213,7 +213,7 @@ class BugStore:
         self.root = Path(root)
         self.cases_dir = self.root / "cases"
         self.journal_path = self.root / "signatures.jsonl"
-        self._records: dict[str, dict] = {}
+        self._digests: set[str] = set()
         try:
             self.cases_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -236,16 +236,13 @@ class BugStore:
             ):
                 logger.warning("skipping corrupt journal line in %s", self.journal_path)
                 continue
-            self._records[record["digest"]] = record
+            self._digests.add(record["digest"])
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._digests)
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._records
-
-    def records(self) -> list[dict]:
-        return list(self._records.values())
+        return digest in self._digests
 
     def record_if_new(self, sig: BugSignature, case_text: str) -> Novelty:
         """Journal a signature the first time it is seen.
@@ -253,7 +250,7 @@ class BugStore:
         Returns INTERESTING exactly once per digest; everything after
         that is DUPLICATE.
         """
-        if sig.digest in self._records:
+        if sig.digest in self._digests:
             return Novelty.DUPLICATE
         case_rel = f"cases/{sig.digest[:16]}.rs"
         record = {
@@ -270,5 +267,5 @@ class BugStore:
                 fh.flush()
         except OSError as exc:
             raise BugStoreError(f"bug store write failed: {exc}") from exc
-        self._records[sig.digest] = record
+        self._digests.add(sig.digest)
         return Novelty.INTERESTING

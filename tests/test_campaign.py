@@ -4,10 +4,12 @@ import importlib.util
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,14 @@ def trigger_compiler(scripted):
         kind="scripted-fake",
         timeout_secs=5.0,
     )
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False  # killed and reaped
+    return True
 
 
 def make_config(corpus_dir, tmp_path, compiler, fills, budget=10, **kw):
@@ -158,7 +168,8 @@ class TestBundles:
         report, out = self.run_ice_campaign(corpus_dir, tmp_path, trigger_compiler)
         store = BugStore(out / "bugstore")
         assert len(store) == report.interesting
-        digests = {r["digest"][:16] for r in store.records()}
+        journal = (out / "bugstore" / "signatures.jsonl").read_text().splitlines()
+        digests = {json.loads(line)["digest"][:16] for line in journal}
         assert digests == {b.split("/")[1] for b in report.bundles}
 
     def test_default_rustc_flags_reach_every_compile(
@@ -730,6 +741,63 @@ class TestDeterminismAcrossWorkers:
         # the compile cut in its triage is counted nowhere
         assert report["candidates_compiled"] == 1
         assert sum(report["outcomes"].values()) == report["candidates_compiled"]
+
+    def test_interrupt_kills_running_compiles(self, tmp_path, scripted, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(work))
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        # each compile names a file after its pid, then becomes the sleep
+        compiler = CompilerConfig(
+            binary_path=scripted("sleepy", f': > "{pids}/$$"\nexec sleep 20\n'),
+            kind="scripted-fake", timeout_secs=30.0,
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "feature.rs").write_text(SEED_FEATURE, encoding="utf-8")
+        cfg = make_config(
+            corpus, tmp_path, compiler, [f"call_{i}()" for i in range(9)],
+            budget=4, workers=2, skip_preflight=True,
+        )
+        main = threading.main_thread().ident
+        sent = []
+        returned = threading.Event()
+
+        def press_ctrl_c_while_both_workers_compile():
+            give_up = time.monotonic() + 25
+            while not returned.is_set() and time.monotonic() < give_up:
+                running = [int(p.name) for p in pids.iterdir()]
+                if sent and not all(map(_alive, running)):
+                    return
+                # pressed again after a second, as a user would, in case
+                # Python ran the first one's handler inside a finalizer,
+                # where the exception is dropped
+                if len(running) >= 2 and (not sent or time.monotonic() - sent[-1] > 1):
+                    sent.append(time.monotonic())
+                    signal.pthread_kill(main, signal.SIGINT)
+                time.sleep(0.02)
+
+        presser = threading.Thread(target=press_ctrl_c_while_both_workers_compile)
+        presser.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(cfg)
+        finally:
+            returned.set()
+            took = time.monotonic() - sent[0] if sent else None
+            presser.join()
+        started = [int(p.name) for p in pids.iterdir()]
+        left = [pid for pid in started if _alive(pid)]
+        for pid in left:
+            os.killpg(pid, signal.SIGKILL)
+        assert took is not None and took < 3.0
+        assert len(started) == 2
+        assert not left
+        assert not list(work.glob("clozefuzz-*"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["aborted"] == "interrupted"
+        assert report["candidates_compiled"] == 0
 
 
 class TestReportBugUnit:

@@ -20,6 +20,7 @@ from conftest import (
     TRIGGER_BODY,
 )
 
+from clozefuzz import harness
 from clozefuzz.harness import (
     STREAM_CAP,
     TRUNCATION_MARKER,
@@ -126,6 +127,29 @@ def test_an_interrupt_mid_compile_kills_the_compile(scripted, tmp_path):
             os.killpg(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def test_concurrent_compiles_leave_no_compile_registered(scripted):
+    cfg = fake_cfg(scripted("ok", OK_BODY))
+    statuses = []
+
+    def compile_twice():
+        for _ in range(2):
+            statuses.append(compile_program("fn main() {}", cfg).exit_status)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_twice) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert statuses == [0] * 16
+    assert not harness._running
 
 
 def test_stream_cap_truncates_large_output(scripted):

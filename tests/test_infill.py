@@ -184,6 +184,7 @@ def http_service():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/complete", _Handler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

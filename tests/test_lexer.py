@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 from helpers import fixture_corpus_texts, gen_bracket_source
 
@@ -145,3 +146,97 @@ def test_nonspace_token_count():
     assert count_nonspace_tokens("") == 0
     # comments count as tokens, whitespace runs do not
     assert count_nonspace_tokens("a // c\nd") == 3
+
+
+def texts_of(source: str) -> list[tuple[TokenKind, str]]:
+    tokens = lex(source).tokens
+    return [(t.kind, t.text) for t in tokens if t.kind is not TokenKind.WHITESPACE]
+
+
+def test_comment_delimiters_do_not_overlap():
+    # the opener's * is not reused by a closer
+    assert texts_of("/*/ x */ y") == [
+        (TokenKind.COMMENT, "/*/ x */"),
+        (TokenKind.IDENTIFIER, "y"),
+    ]
+    # an inner /*/ opens once; the / is not the start of a */
+    assert texts_of("/* a /*/ b */ c */ d") == [
+        (TokenKind.COMMENT, "/* a /*/ b */ c */"),
+        (TokenKind.IDENTIFIER, "d"),
+    ]
+    # */* closes once; the / is not the start of a /*
+    assert texts_of("/* /* a */* b */ c") == [
+        (TokenKind.COMMENT, "/* /* a */* b */"),
+        (TokenKind.IDENTIFIER, "c"),
+    ]
+
+
+def test_raw_prefix_rules():
+    # r#1 is no raw identifier: a word, a punct and a number
+    assert texts_of("r#1") == [
+        (TokenKind.IDENTIFIER, "r"),
+        (TokenKind.PUNCT, "#"),
+        (TokenKind.LITERAL, "1"),
+    ]
+    assert texts_of('br#"a "quoted" }"# x') == [
+        (TokenKind.STRING, 'br#"a "quoted" }"#'),
+        (TokenKind.IDENTIFIER, "x"),
+    ]
+    # only a quote followed by both hashes closes it
+    assert texts_of('r##"a "# b"## c') == [
+        (TokenKind.STRING, 'r##"a "# b"##'),
+        (TokenKind.IDENTIFIER, "c"),
+    ]
+
+
+def test_escaped_and_empty_chars():
+    for text in ("b'\\''", "'\\''"):
+        assert texts_of(text + " x") == [
+            (TokenKind.CHAR, text),
+            (TokenKind.IDENTIFIER, "x"),
+        ]
+    assert texts_of("''") == [(TokenKind.PUNCT, "'"), (TokenKind.PUNCT, "'")]
+
+
+def test_number_takes_one_dot_before_a_digit():
+    assert texts_of("1.2.3") == [
+        (TokenKind.LITERAL, "1.2"),
+        (TokenKind.PUNCT, "."),
+        (TokenKind.LITERAL, "3"),
+    ]
+    assert texts_of("1..2") == [
+        (TokenKind.LITERAL, "1"),
+        (TokenKind.PUNCT, ".."),
+        (TokenKind.LITERAL, "2"),
+    ]
+
+
+def test_numeric_non_decimal_characters_are_word_characters():
+    # numeric but not decimal: they start identifiers, never numbers
+    assert texts_of("Ⅻ ² ½") == [
+        (TokenKind.IDENTIFIER, "Ⅻ"),
+        (TokenKind.IDENTIFIER, "²"),
+        (TokenKind.IDENTIFIER, "½"),
+    ]
+    assert texts_of("1.²") == [
+        (TokenKind.LITERAL, "1"),
+        (TokenKind.PUNCT, "."),
+        (TokenKind.IDENTIFIER, "²"),
+    ]
+    # a decimal digit of another script is a digit
+    assert texts_of("٣") == [(TokenKind.LITERAL, "٣")]
+
+
+def test_hostile_one_token_inputs_lex_in_linear_time():
+    size = 1 << 20
+    for text, kind in (
+        ("/*" * (size // 4) + "*/" * (size // 4), TokenKind.COMMENT),
+        ('r###"' + '"##' * (size // 3), TokenKind.STRING),
+        ('"' + "\\" * size, TokenKind.STRING),
+        ("b'" + "\\'x" * (size // 3), TokenKind.CHAR),
+    ):
+        started = time.monotonic()
+        tokens = lex(text).tokens
+        took = time.monotonic() - started
+        assert [(t.kind, t.end) for t in tokens] == [(kind, len(text))], text[:8]
+        assert took < 2.0, (text[:8], took)
