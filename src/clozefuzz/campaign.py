@@ -9,6 +9,12 @@ issued, and all of a seed's results are committed before the next
 seed is drawn. Counts, bundles and feedback seeds are therefore the
 same for every worker count.
 
+A campaign stops on a spent budget, a stall (seed draws give no fresh
+candidates), a vanished compiler, a failed write or Ctrl-C. Each stop
+records why in ``budget_exhausted``, ``stalled`` or ``aborted``, the
+report is saved once, and the compiles still in flight are killed and
+counted nowhere, so a time budget ends at its deadline.
+
 ``triage`` is the one oracle path: the campaign and the ``spe``
 baseline both classify, sign and journal every compile through it.
 """
@@ -33,7 +39,7 @@ from .harness import (
     HarnessError,
     compile_program,
     ensure_compiler,
-    kill_running_compiles,
+    killing_compiles,
     time_passes,
 )
 from .infill import BackendError, InfillConfig, InfillResult, infill
@@ -245,12 +251,13 @@ def report_bug(
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
-    """Run the full loop until a budget is spent or progress stops.
+    """Run the full loop until it stops, as the module docstring says.
 
     Fresh ICE and hang findings get a bundle on disk and feed back
     into the corpus under fuzzer-feedback provenance. Every compile,
     preflight included, runs on one pool of ``cfg.workers`` threads
-    that lives as long as the campaign.
+    that lives as long as the campaign. A failed write of a finding
+    raises ``CampaignAbortedError``, after the report is saved.
     """
     started = time.monotonic()
     out_dir = Path(cfg.out_dir)
@@ -264,16 +271,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     )
     try:
         return _run(cfg, pool, started, out_dir)
-    except KeyboardInterrupt:
-        # the report is saved. Queued compiles are dropped first, so no
-        # worker freed by the kill starts another; running ones are
-        # killed, not waited for, and none of them is counted
-        pool.shutdown(wait=False, cancel_futures=True)
-        kill_running_compiles()
-        raise
     finally:
-        # queued compiles never start; running ones finish and clean up
-        pool.shutdown(cancel_futures=True)
+        # the one teardown, whatever ended the run: queued compiles
+        # never start and running ones are killed, not waited for
+        with killing_compiles():
+            pool.shutdown(cancel_futures=True)
 
 
 def _run(
@@ -320,12 +322,14 @@ def _run(
     issued = 0
 
     def spent() -> str | None:
+        # past the deadline the time budget is what ran out, even with
+        # every candidate issued: compiles still in flight are dropped
+        if deadline is not None and time.monotonic() >= deadline:
+            return "seconds"
         # counting issued rather than committed compiles keeps the
         # candidate budget exact with compiles still in flight
         if cfg.budget_candidates is not None and issued >= cfg.budget_candidates:
             return "candidates"
-        if deadline is not None and time.monotonic() >= deadline:
-            return "seconds"
         return None
 
     idle_limit = max(50, 4 * len(corpus))
@@ -355,24 +359,17 @@ def _run(
     def settle(limit: int) -> None:
         """Commit the oldest compiles until at most ``limit`` are in flight.
 
-        A wait wakes at the time budget's deadline and cancels every
-        compile no worker has started, so only compiles already running
-        then can overshoot the budget. A cancelled compile no longer
-        counts as issued.
+        Each wait ends at the time budget's deadline. Past it nothing
+        more is committed: the run stops, and the compiles still in
+        flight are dropped uncounted by ``run_campaign``'s teardown.
         """
-        nonlocal issued
         while len(in_flight) > limit:
-            head = in_flight[0][0]
-            if deadline is not None and not head.done():
-                left = deadline - time.monotonic()
-                if left <= 0 or not wait([head], timeout=left).done:
-                    for future, _, _ in in_flight:
-                        future.cancel()
-            future, result, target = in_flight.popleft()
-            if future.cancelled():
-                issued -= 1
-            else:
-                commit(result, target, future.result())
+            future, result, target = in_flight[0]
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and (left <= 0 or not wait([future], left).done):
+                return
+            in_flight.popleft()
+            commit(result, target, future.result())
 
     def process_seed(entry) -> int:
         """Mask and infill one seed, compile its candidates on the pool
@@ -410,22 +407,6 @@ def _run(
         settle(0)
         return issued - issued_before
 
-    def finalize() -> None:
-        # derived, so the tallies sum to it even when a run is cut
-        # between a compile's commit and its triage
-        report.candidates_compiled = sum(report.outcomes.values())
-        report.corpus_size_final = len(corpus)
-        report.elapsed_seconds = time.monotonic() - started
-        report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        report.save(out_dir)
-
-    def finalize_partial() -> None:
-        """Save what a cut run has, without masking why it was cut."""
-        try:
-            finalize()
-        except OSError as exc:
-            logger.error("cannot save the partial report: %s", exc)
-
     try:
         while True:
             report.budget_exhausted = spent()
@@ -441,23 +422,30 @@ def _run(
 
             entry = corpus.sample(rng)
             report.seeds_sampled += 1
-            try:
-                issued_this_seed = process_seed(entry)
-            except HarnessError as exc:
-                # compiler vanished mid-run: stop gracefully, keep findings
-                report.aborted = f"compiler unavailable mid-run: {exc}"
-                logger.error(report.aborted)
-                break
-            except (BugStoreError, OSError) as exc:
-                finalize_partial()
-                raise CampaignAbortedError(str(exc), partial_report=report) from exc
-            idle = 0 if issued_this_seed else idle + 1
+            idle = 0 if process_seed(entry) else idle + 1
+    except HarnessError as exc:
+        # compiler vanished mid-run: stop gracefully, keep findings
+        report.aborted = f"compiler unavailable mid-run: {exc}"
+        logger.error(report.aborted)
+    except (BugStoreError, OSError) as exc:
+        report.aborted = f"cannot write findings: {exc}"
+        raise CampaignAbortedError(report.aborted, partial_report=report) from exc
     except KeyboardInterrupt:
-        # compiles committed so far keep their findings and tallies;
-        # the ones still in flight are cancelled uncounted
         report.aborted = "interrupted"
-        finalize_partial()
         raise
-
-    finalize()
+    finally:
+        # the one save, whatever ended the run. Derived, so the tallies
+        # sum to it even when a run is cut between a compile's count
+        # and its journal write
+        report.candidates_compiled = sum(report.outcomes.values())
+        report.corpus_size_final = len(corpus)
+        report.elapsed_seconds = time.monotonic() - started
+        report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        try:
+            report.save(out_dir)
+        except OSError as exc:
+            if report.aborted is None:
+                raise
+            # a cut run still says why it was cut
+            logger.error("cannot save the report: %s", exc)
     return report

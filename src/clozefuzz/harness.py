@@ -6,8 +6,8 @@ capture. Output printed before a timeout is kept, so ``time_passes``
 can locate a hang from the pass-timing lines of the compile that timed
 out (rustc prints them under ``-Ztime-passes``, which callers opt into
 through the compiler flags) without compiling the program again.
-A compile is registered while it runs, so ``kill_running_compiles``
-can stop them all at once when a campaign is interrupted.
+A compile is registered while it runs, so ``killing_compiles`` can
+stop them all at once when a campaign ends with compiles in flight.
 
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
@@ -29,6 +29,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -214,20 +215,30 @@ def _kill_process_group(proc: subprocess.Popen) -> None:
         pass
 
 
-# every compile between its spawn and the return of its wait, so an
-# interrupted campaign can stop the compiles its pool threads wait on
+# every compile between its spawn and its reap, so a campaign that
+# stops can kill the compiles its pool threads still run
 _running: set[subprocess.Popen] = set()
 _running_lock = threading.Lock()
+_killing = False
 
 
-def kill_running_compiles() -> None:
-    """Kill the process group of every compile still running in this
-    process. Their ``compile_program`` calls then return promptly, with
-    the outcome of a killed process."""
+@contextmanager
+def killing_compiles():
+    """Kill every compile running in this process, and each one that
+    starts before the block exits, such as a queued compile a pool
+    thread takes while the pool shuts down inside the block. Their
+    ``compile_program`` calls return the outcome of a killed process."""
+    global _killing
     with _running_lock:
+        _killing = True
         for proc in _running:
             if proc.returncode is None:
                 _kill_process_group(proc)
+    try:
+        yield
+    finally:
+        with _running_lock:
+            _killing = False
 
 
 def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
@@ -238,64 +249,59 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     and temporaries stay contained.
     On timeout the whole process group is killed, so rustc's child
     processes do not linger, and what it printed until then is kept.
-    An exception that cuts the wait short, such as Ctrl-C, kills the
-    group too before it propagates.
+    However the call ends, Ctrl-C included, a compiler still running
+    is killed with its group and reaped, and the directory removed.
     """
     cmd = cfg.command("input.rs")
     workdir = tempfile.mkdtemp(prefix="clozefuzz-")
-    input_path = Path(workdir) / "input.rs"
-    input_path.write_text(program, encoding="utf-8")
-
-    started = time.monotonic()
-    timed_out = False
+    proc = None
     try:
-        proc = subprocess.Popen(
-            cmd,
-            cwd=workdir,
-            env=_subprocess_env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        shutil.rmtree(workdir, ignore_errors=True)
-        raise HarnessError(f"failed to spawn {cmd[0]}: {exc}") from exc
-
-    with _running_lock:
-        _running.add(proc)
-    try:
-        out, err = proc.communicate(timeout=cfg.timeout_secs)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        _kill_process_group(proc)
-        out, err = proc.communicate()
-    except BaseException:
-        # a caller interrupted mid-compile (Ctrl-C in spe) must not
-        # leave the compile running on its own in its own session
-        _kill_process_group(proc)
-        proc.stdout.close()
-        proc.stderr.close()
-        proc.wait()
-        shutil.rmtree(workdir, ignore_errors=True)
-        raise
-    finally:
+        (Path(workdir) / "input.rs").write_text(program, encoding="utf-8")
+        started = time.monotonic()
+        try:
+            proc = subprocess.Popen(
+                cmd,
+                cwd=workdir,
+                env=_subprocess_env(),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            raise HarnessError(f"failed to spawn {cmd[0]}: {exc}") from exc
         with _running_lock:
-            _running.discard(proc)
-    wall = time.monotonic() - started
-
-    artifact_present = any(
-        entry.name != "input.rs" for entry in Path(workdir).iterdir()
-    )
-    outcome = CompileOutcome(
-        exit_status=proc.returncode,
-        stdout=_cap_stream(out),
-        stderr=_cap_stream(err),
-        wall_time=wall,
-        timed_out=timed_out,
-        artifact_present=artifact_present,
-    )
-    shutil.rmtree(workdir, ignore_errors=True)
-    return outcome
+            _running.add(proc)
+            if _killing:
+                _kill_process_group(proc)
+        timed_out = False
+        try:
+            out, err = proc.communicate(timeout=cfg.timeout_secs)
+        except subprocess.TimeoutExpired:
+            timed_out = True
+            _kill_process_group(proc)
+            out, err = proc.communicate()
+        wall = time.monotonic() - started
+        return CompileOutcome(
+            exit_status=proc.returncode,
+            stdout=_cap_stream(out),
+            stderr=_cap_stream(err),
+            wall_time=wall,
+            timed_out=timed_out,
+            artifact_present=any(
+                entry.name != "input.rs" for entry in Path(workdir).iterdir()
+            ),
+        )
+    finally:
+        if proc is not None:
+            with _running_lock:
+                _running.discard(proc)
+            # once reaped, the pid may already name another process
+            if proc.returncode is None:
+                _kill_process_group(proc)
+            proc.stdout.close()
+            proc.stderr.close()
+            proc.wait()
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def time_passes(outcome: CompileOutcome) -> list[tuple[str, float]]:

@@ -41,19 +41,14 @@ class MaskedVariant:
         return self.source[lo:hi]
 
 
-def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
+def _attribute_ranges(
+    tokens: list[Token], spans: list[BracketSpan]
+) -> list[tuple[int, int]]:
     """Character ranges of feature-gate attributes, in textual order.
 
     Matches `#![feature(...)]` and `#[feature(...)]` modulo whitespace,
     from the '#' through the closing ']'. Ranges are half-open.
     """
-    tokens = lex(source).tokens
-    return _attribute_ranges(tokens, find_spans(source, tokens))
-
-
-def _attribute_ranges(
-    tokens: list[Token], spans: list[BracketSpan]
-) -> list[tuple[int, int]]:
     sig = significant_tokens(tokens)
     square_close = {
         s.open_at: s.close_at for s in spans if s.kind is BracketKind.SQUARE

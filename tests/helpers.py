@@ -18,8 +18,10 @@ from clozefuzz.brackets import (
     BracketSpan,
     _angle_opener_plausible,
     _match_classical,
+    find_spans,
 )
 from clozefuzz.lexer import Token, TokenKind, lex, significant_tokens
+from clozefuzz.masking import _attribute_ranges
 
 # --- independent bracket oracle ---------------------------------------------
 #
@@ -139,6 +141,12 @@ def fixture_corpus_texts(count: int = 50) -> list[str]:
     return [
         _TEMPLATES[i % len(_TEMPLATES)].replace("@N@", str(i)) for i in range(count)
     ]
+
+
+def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
+    """The feature-gate attribute ranges ``cloze`` computes for ``source``."""
+    tokens = lex(source).tokens
+    return _attribute_ranges(tokens, find_spans(source, tokens))
 
 
 # --- reference spec: the original quadratic angle matcher --------------------

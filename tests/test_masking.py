@@ -3,14 +3,15 @@ from __future__ import annotations
 import pytest
 import random
 
-from helpers import fixture_corpus_texts, gen_angle_soup, reference_cloze
+from helpers import (
+    feature_attribute_ranges,
+    fixture_corpus_texts,
+    gen_angle_soup,
+    reference_cloze,
+)
 
 from clozefuzz.brackets import BracketKind, find_spans
-from clozefuzz.masking import (
-    cloze,
-    feature_attribute_ranges,
-    render,
-)
+from clozefuzz.masking import cloze, render
 
 GATED = "#![feature(f1)]\nfn main() {}"
 
