@@ -5,13 +5,14 @@ generic <> pairs in a program, then arranges the pairs into a forest
 ordered by containment. Unmatched brackets are dropped silently; the
 rest of the pipeline only ever sees well-formed spans.
 
-Every stage is linear. (), {} and [] pair on one stack. Angles pair in
-one pass over the significant tokens, with a depth counter per bracket
-kind and a stack of pending '<' per depth tuple. Every '<' is pushed,
-as a placeholder unless it follows a name, '::' or '>'. A '>' pops the
-stack of the current tuple and pairs only with a plausible '<'. A ';'
-clears every stack; a closer of kind k at level d drops the stacks
-whose tuple has k-component d. Fused tokens (<<, >>, ->, ...) are opaque.
+Every stage is linear. One pass over the significant tokens pairs
+every kind. (), {} and [] pair on one stack. Angles pair with a depth
+counter per bracket kind and a stack of pending '<' per depth tuple.
+Every '<' is pushed, as a placeholder unless it follows a name, '::'
+or '>'. A '>' pops the stack of the current tuple and pairs only with
+a plausible '<'. A ';' clears every stack; a closer of kind k at level
+d drops the stacks whose tuple has k-component d. Fused tokens (<<,
+>>, ->, ...) are opaque.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lexer import Token, TokenKind, lex, significant_tokens
+from .lexer import Token, TokenKind, lex
 
 
 class BracketKind(Enum):
@@ -29,8 +30,13 @@ class BracketKind(Enum):
     ANGLE = "angle"
 
 
-_OPEN_KIND = {"(": BracketKind.PAREN, "{": BracketKind.BRACE, "[": BracketKind.SQUARE}
-_CLOSE_KIND = {")": BracketKind.PAREN, "}": BracketKind.BRACE, "]": BracketKind.SQUARE}
+# a bracket's kind index is its place here, in _CLASSICAL and in the
+# depth list of _match_pairs
+_CLASSICAL = (BracketKind.PAREN, BracketKind.BRACE, BracketKind.SQUARE)
+_INDEX = {"(": 0, ")": 0, "{": 1, "}": 1, "[": 2, "]": 2}
+_OPEN, _CLOSE = TokenKind.OPEN_BRACKET, TokenKind.CLOSE_BRACKET
+_PUNCT, _IDENTIFIER = TokenKind.PUNCT, TokenKind.IDENTIFIER
+_WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
 
 
 @dataclass
@@ -56,66 +62,55 @@ class BracketSpan:
         }
 
 
-def _match_classical(tokens: list[Token]) -> list[tuple[BracketKind, int, int]]:
+def _match_pairs(tokens: list[Token]) -> list[tuple[BracketKind, int, int]]:
+    """Every (), {}, [] pair and every generic angle pair, by the
+    single-pass rules above. Whitespace and comments are skipped, so
+    ``tokens`` may be a whole token stream or its significant tokens."""
     pairs: list[tuple[BracketKind, int, int]] = []
-    stack: list[tuple[BracketKind, int]] = []
-    for t in tokens:
-        if t.kind is TokenKind.OPEN_BRACKET:
-            stack.append((_OPEN_KIND[t.text], t.start))
-        elif t.kind is TokenKind.CLOSE_BRACKET:
-            kind = _CLOSE_KIND[t.text]
-            if stack and stack[-1][0] is kind:
-                _, open_at = stack.pop()
-                pairs.append((kind, open_at, t.start))
-            # a closer that doesn't match the innermost opener is ignored
-    return pairs
-
-
-def _angle_opener_plausible(prev: Token | None) -> bool:
-    # '<' can only start a generic argument list after a name, a path
+    opened: list[tuple[int, int]] = []  # (kind index, open_at), innermost last
+    depth = [0, 0, 0]  # per kind index
+    pending: dict[tuple[int, ...], list[int | None]] = {}
+    # (kind index, level) -> depth tuples filed there when their stack
+    # began; stale entries are harmless and the lists stay O(number of '<')
+    at_level: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # a '<' can only start a generic argument list after a name, a path
     # separator, or a previous closing '>' (e.g. Foo<T>::Bar<U>)
-    if prev is None:
-        return False
-    if prev.kind is TokenKind.IDENTIFIER:
-        return True
-    return prev.kind is TokenKind.PUNCT and prev.text in ("::", ">")
-
-
-def _match_angles(sig: list[Token]) -> list[tuple[BracketKind, int, int]]:
-    """Generic angle pairs, by the single-pass rules above."""
-    pairs: list[tuple[BracketKind, int, int]] = []
-    depth = {BracketKind.PAREN: 0, BracketKind.BRACE: 0, BracketKind.SQUARE: 0}
-    pending: dict[tuple[int, ...], list[Token | None]] = {}
-    # (kind, level) -> depth tuples filed there when their stack began;
-    # stale entries are harmless and the lists stay O(number of '<')
-    at_level: dict[tuple[BracketKind, int], list[tuple[int, ...]]] = {}
-    prev: Token | None = None
-    for t in sig:
-        if t.kind is TokenKind.OPEN_BRACKET:
-            depth[_OPEN_KIND[t.text]] += 1
-        elif t.kind is TokenKind.CLOSE_BRACKET:
-            kind = _CLOSE_KIND[t.text]
-            for key in at_level.pop((kind, depth[kind]), ()):
+    plausible = False
+    for kind, start, _, text in tokens:
+        if kind is _OPEN:
+            k = _INDEX[text]
+            opened.append((k, start))
+            depth[k] += 1
+        elif kind is _CLOSE:
+            k = _INDEX[text]
+            # a closer that doesn't match the innermost opener is ignored
+            if opened and opened[-1][0] == k:
+                pairs.append((_CLASSICAL[k], opened.pop()[1], start))
+            for key in at_level.pop((k, depth[k]), ()):
                 pending.pop(key, None)
             # a stray closer may take a counter below zero; it has just
             # dropped every pending '<', so only relative depths matter
-            depth[kind] -= 1
-        elif t.kind is TokenKind.PUNCT and t.text == "<":
-            key = tuple(depth.values())
-            if key not in pending:
-                pending[key] = []
-                for kind_level in zip(depth, key):
-                    at_level.setdefault(kind_level, []).append(key)
-            pending[key].append(t if _angle_opener_plausible(prev) else None)
-        elif t.kind is TokenKind.PUNCT and t.text == ">":
-            stack = pending.get(tuple(depth.values()))
-            opener = stack.pop() if stack else None
-            if opener is not None:
-                pairs.append((BracketKind.ANGLE, opener.start, t.start))
-        elif t.kind is TokenKind.PUNCT and t.text == ";":
-            pending.clear()
-            at_level.clear()
-        prev = t
+            depth[k] -= 1
+        elif kind is _PUNCT:
+            if text == "<":
+                key = tuple(depth)
+                stack = pending.get(key)
+                if stack is None:
+                    stack = pending[key] = []
+                    for level in enumerate(key):
+                        at_level.setdefault(level, []).append(key)
+                stack.append(start if plausible else None)
+            elif text == ">":
+                stack = pending.get(tuple(depth))
+                open_at = stack.pop() if stack else None
+                if open_at is not None:
+                    pairs.append((BracketKind.ANGLE, open_at, start))
+            elif text == ";":
+                pending.clear()
+                at_level.clear()
+        elif kind is _WHITESPACE or kind is _COMMENT:
+            continue
+        plausible = kind is _IDENTIFIER or text == "::" or text == ">"
     return pairs
 
 
@@ -124,9 +119,7 @@ def _sorted_forest(source: str, tokens: list[Token] | None) -> list[BracketSpan]
     -close_at) order, which is also the forest's depth-first pre-order."""
     if tokens is None:
         tokens = lex(source).tokens
-    raw = _match_classical(tokens) + _match_angles(significant_tokens(tokens))
-
-    spans = [BracketSpan(kind, open_at, close_at) for kind, open_at, close_at in raw]
+    spans = [BracketSpan(*pair) for pair in _match_pairs(tokens)]
     spans.sort(key=lambda s: (s.open_at, -s.close_at))
 
     stack: list[BracketSpan] = []
@@ -146,8 +139,8 @@ def find_bracket_pairs(
     """All matched bracket spans of a program as a containment forest.
 
     Roots come back in textual order; each node's children are the
-    spans nested directly inside it. ``tokens`` is ``lex(source).tokens``
-    when the caller already has it.
+    spans nested directly inside it. ``tokens`` is ``lex(source).tokens``,
+    or only its significant tokens, when the caller already has it.
     """
     return [s for s in _sorted_forest(source, tokens) if s.depth == 0]
 

@@ -21,6 +21,7 @@ baseline both classify, sign and journal every compile through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -29,6 +30,8 @@ import shlex
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+# the builtin TimeoutError since 3.11, which is an OSError
+from concurrent.futures import TimeoutError as PoolTimeoutError
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -256,7 +259,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     Fresh ICE and hang findings get a bundle on disk and feed back
     into the corpus under fuzzer-feedback provenance. Every compile,
     preflight included, runs on one pool of ``cfg.workers`` threads
-    that lives as long as the campaign. A failed write of a finding
+    that lives as long as the campaign, and the time budget's deadline
+    cuts preflight short too. A failed write of a finding
     raises ``CampaignAbortedError``, after the report is saved.
     """
     started = time.monotonic()
@@ -282,14 +286,6 @@ def _run(
     cfg: CampaignConfig, pool: ThreadPoolExecutor, started: float, out_dir: Path
 ) -> CampaignReport:
     corpus = open_corpus(cfg.corpus_dir)
-    initial_size = len(corpus)
-    preflight_rejected = 0
-    if not cfg.skip_preflight:
-        for target in cfg.compilers:
-            preflight_rejected += len(preflight_filter(corpus, target, pool.map))
-    if len(corpus) == 0:
-        raise CorpusError("no usable seeds: corpus is empty after preflight")
-
     backend = cfg.infill.backend
     report = CampaignReport(
         seed=cfg.seed,
@@ -308,8 +304,7 @@ def _run(
             "candidates": cfg.budget_candidates,
             "seconds": cfg.budget_seconds,
         },
-        corpus_size_initial=initial_size,
-        preflight_rejected=preflight_rejected,
+        corpus_size_initial=len(corpus),
     )
 
     rng = random.Random(cfg.seed)
@@ -332,8 +327,20 @@ def _run(
             return "candidates"
         return None
 
-    idle_limit = max(50, 4 * len(corpus))
-    idle = 0
+    def preflight() -> None:
+        """Drop the seeds that already crash or hang a target. Each
+        wait ends at the time budget's deadline; past it the loop below
+        stops at once, and the compiles still in flight are dropped
+        like the loop's own."""
+        for target in cfg.compilers:
+            left = None if deadline is None else deadline - time.monotonic()
+            try:
+                rejected = preflight_filter(
+                    corpus, target, functools.partial(pool.map, timeout=left)
+                )
+            except PoolTimeoutError:
+                return
+            report.preflight_rejected += len(rejected)
 
     def commit(result: InfillResult, target: CompilerConfig, outcome) -> None:
         """Triage one compile. Runs on the campaign's thread in issue
@@ -408,6 +415,13 @@ def _run(
         return issued - issued_before
 
     try:
+        if not cfg.skip_preflight:
+            preflight()
+        if len(corpus) == 0:
+            report.aborted = "no usable seeds: corpus is empty after preflight"
+            raise CorpusError(report.aborted)
+        idle_limit = max(50, 4 * len(corpus))
+        idle = 0
         while True:
             report.budget_exhausted = spent()
             if report.budget_exhausted:

@@ -2,10 +2,13 @@
 
 Runs a compiler on candidate programs in throwaway directories, with a
 hard wall-clock limit, process-group cleanup, and capped output
-capture. Output printed before a timeout is kept, so ``time_passes``
-can locate a hang from the pass-timing lines of the compile that timed
-out (rustc prints them under ``-Ztime-passes``, which callers opt into
-through the compiler flags) without compiling the program again.
+capture. The cap holds while the output is read: past ``STREAM_CAP``
+bytes a stream is read on and thrown away, so a compiler that prints
+gigabytes costs no memory. Output printed before a timeout is kept,
+so ``time_passes`` can locate a hang from the pass-timing lines of the
+compile that timed out (rustc prints them under ``-Ztime-passes``,
+which callers opt into through the compiler flags) without compiling
+the program again.
 A compile is registered while it runs, so ``killing_compiles`` can
 stop them all at once when a campaign ends with compiles in flight.
 
@@ -23,6 +26,7 @@ point. Every other target runs as given.
 from __future__ import annotations
 
 import os
+import selectors
 import shutil
 import signal
 import subprocess
@@ -49,6 +53,7 @@ DEFAULT_FLAGS: dict[str, tuple[str, ...]] = {
 }
 
 STREAM_CAP = 1 << 20  # bytes kept per stream
+_READ_SIZE = 1 << 15  # bytes read from a pipe at a time, as subprocess reads
 TRUNCATION_MARKER = "\n...[output truncated]"
 
 ENV_ALLOWLIST = (
@@ -208,6 +213,53 @@ def _cap_stream(data: bytes) -> str:
     return data[:cut].decode("utf-8", errors="replace") + TRUNCATION_MARKER
 
 
+def _communicate(
+    proc: subprocess.Popen, timeout: float
+) -> tuple[bytes, bytes, bool]:
+    """``proc.communicate(timeout)`` that keeps at most ``STREAM_CAP``
+    + 1 bytes of each stream, enough for ``_cap_stream`` to see the
+    cut, and throws the rest away as it arrives.
+
+    Both pipes are still read to EOF, so a compiler that prints a lot
+    never blocks on a full pipe and ends with its own exit status. On
+    timeout its process group is killed and what it printed until then
+    is kept. Returns ``(stdout, stderr, timed out)``.
+    """
+    deadline = time.monotonic() + timeout
+    out, err = bytearray(), bytearray()
+    kept = {proc.stdout.fileno(): out, proc.stderr.fileno(): err}
+    timed_out = False
+    # poll, as subprocess uses: for two pipes it costs fewer system
+    # calls than epoll, which makes and closes a kernel object per compile
+    with selectors.PollSelector() as selector:
+        for fd in kept:
+            selector.register(fd, selectors.EVENT_READ)
+        while selector.get_map():
+            left = deadline - time.monotonic()
+            if left <= 0 and not timed_out:
+                timed_out = True
+                _kill_process_group(proc)
+            # once killed, read on until every holder of a pipe is gone
+            for key, _ in selector.select(None if timed_out else left):
+                chunk = os.read(key.fd, _READ_SIZE)
+                if not chunk:
+                    selector.unregister(key.fd)
+                    continue
+                buf = kept[key.fd]
+                room = STREAM_CAP + 1 - len(buf)
+                if room > 0:
+                    buf += chunk[:room]
+    if not timed_out:
+        # a compiler may close its pipes and still run
+        try:
+            proc.wait(max(deadline - time.monotonic(), 0))
+        except subprocess.TimeoutExpired:
+            timed_out = True
+            _kill_process_group(proc)
+    proc.wait()
+    return bytes(out), bytes(err), timed_out
+
+
 def _kill_process_group(proc: subprocess.Popen) -> None:
     try:
         os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
@@ -273,13 +325,7 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
             _running.add(proc)
             if _killing:
                 _kill_process_group(proc)
-        timed_out = False
-        try:
-            out, err = proc.communicate(timeout=cfg.timeout_secs)
-        except subprocess.TimeoutExpired:
-            timed_out = True
-            _kill_process_group(proc)
-            out, err = proc.communicate()
+        out, err, timed_out = _communicate(proc, cfg.timeout_secs)
         wall = time.monotonic() - started
         return CompileOutcome(
             exit_status=proc.returncode,

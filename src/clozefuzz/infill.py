@@ -1,9 +1,15 @@
 """Completion backends and the infill loop.
 
-A masked variant is rendered with the backend's sentinel and sent off
-for completion; the fill is spliced back between the original
-delimiters to form a candidate program. Fills that reproduce the seed
-are discarded, as are duplicate candidates within one call.
+A masked variant is sent off for completion with the backend's
+sentinel; the fill is spliced back between the original delimiters to
+form a candidate program. Fills that reproduce the seed are discarded,
+as are duplicate candidates within one call.
+
+A ``CompletionRequest`` is a view, like the ``MaskedVariant`` it
+holds: its ``masked_text`` is rendered each time it is read, and
+nothing keeps it. A backend that never reads it (``MockBackend``,
+``EchoBackend``) never pays for it, and a log of requests holds one
+seed text however many requests it keeps.
 
 Spans inside feature-gate attributes get several attempts at randomly
 drawn temperatures; everything else gets a single attempt at the base
@@ -50,11 +56,20 @@ class BackendProtocolError(BackendError):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    masked_text: str
+    variant: MaskedVariant
     sentinel: str
     temperature: float
     max_tokens: int
-    original_interior: str
+
+    @property
+    def masked_text(self) -> str:
+        """The variant with the sentinel in its hole, built anew on
+        every read."""
+        return render(self.variant, self.sentinel)
+
+    @property
+    def original_interior(self) -> str:
+        return self.variant.original_interior
 
 
 @dataclass
@@ -148,6 +163,7 @@ class HttpBackend:
         self._requests = requests
 
     def complete(self, request: CompletionRequest) -> str:
+        # built once per call, not once per retry
         body = {
             "masked_text": request.masked_text,
             "sentinel": request.sentinel,
@@ -198,7 +214,8 @@ class HttpBackend:
 class ReplayBackend:
     """Record/replay cache around another backend.
 
-    Keyed by (masked_text hash, temperature bucket); hits never touch
+    Keyed by (masked_text hash, temperature bucket), so the masked
+    text is built once per lookup; hits never touch
     the inner backend, so a recorded campaign can rerun with no
     network at all.
     """
@@ -245,7 +262,6 @@ def infill(
     backend = cfg.backend
     if backend is None:
         raise ValueError("infill requires a configured backend")
-    masked = render(variant, backend.sentinel)
     if variant.special:
         temperatures = [rng.random() for _ in range(cfg.time_max)]
     else:
@@ -258,11 +274,10 @@ def infill(
     seen: set[str] = {original}
     for temperature in temperatures:
         request = CompletionRequest(
-            masked_text=masked,
+            variant=variant,
             sentinel=backend.sentinel,
             temperature=temperature,
             max_tokens=cfg.max_fill_tokens,
-            original_interior=original,
         )
         try:
             fill = backend.complete(request)

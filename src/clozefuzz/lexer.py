@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -50,8 +51,7 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     start: int
     end: int
@@ -118,6 +118,8 @@ _RULES = (
 
 _TOKEN = re.compile("|".join(f"(?P<{name}>{rule})" for name, rule in _RULES))
 _COMMENT_DELIMITER = re.compile(r"/\*|\*/")
+# row name -> kind; WORD is missing, it depends on the text
+_KIND = dict(TokenKind.__members__, BLOCK_COMMENT=TokenKind.COMMENT)
 
 
 def lex(source: str) -> LexResult:
@@ -128,7 +130,7 @@ def lex(source: str) -> LexResult:
         match = _TOKEN.match(source, pos)
         name, end = match.lastgroup, match.end()
         if name == "BLOCK_COMMENT":
-            name, depth, end = "COMMENT", 1, n
+            depth, end = 1, n
             for delimiter in _COMMENT_DELIMITER.finditer(source, pos + 2):
                 depth += 1 if delimiter.group() == "/*" else -1
                 if not depth:
@@ -136,8 +138,10 @@ def lex(source: str) -> LexResult:
                     break
         text = source[pos:end]
         if name == "WORD":
-            name = "KEYWORD" if text in KEYWORDS else "IDENTIFIER"
-        tokens.append(Token(TokenKind[name], pos, end, text))
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+        else:
+            kind = _KIND[name]
+        tokens.append(Token(kind, pos, end, text))
         pos = end
     return LexResult(tokens=tokens)
 

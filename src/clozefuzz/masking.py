@@ -5,11 +5,15 @@ interior is replaced by a backend-specific sentinel at render time.
 The delimiters themselves always stay in the text, so the completion
 model sees the syntactic scaffolding around the hole.
 
-``cloze`` lexes a seed once and takes both the spans and the feature
-attribute ranges from that token stream. A variant is a view: it holds
-the seed text itself in ``source`` plus its span and slices ``prefix``,
-``suffix`` and ``original_interior`` out of it on demand, so masking
-costs memory linear in the seed, whatever its span count.
+``cloze`` lexes a seed once, drops its whitespace and comments once,
+and takes both the spans and the feature attribute ranges from the
+tokens that are left. A variant is a view: it holds the seed text
+itself in ``source`` plus its span and slices ``prefix``, ``suffix``
+and ``original_interior`` out of it on demand, so masking costs memory
+linear in the seed, whatever its span count. An infill request is a
+view of its variant in turn (``infill.CompletionRequest``): the masked
+text exists only while a backend that sends or hashes it builds it
+with ``render``.
 """
 
 from __future__ import annotations
@@ -42,14 +46,15 @@ class MaskedVariant:
 
 
 def _attribute_ranges(
-    tokens: list[Token], spans: list[BracketSpan]
+    sig: list[Token], spans: list[BracketSpan]
 ) -> list[tuple[int, int]]:
-    """Character ranges of feature-gate attributes, in textual order.
+    """Character ranges of feature-gate attributes, in textual order,
+    from the significant tokens ``sig`` and their spans.
 
-    Matches `#![feature(...)]` and `#[feature(...)]` modulo whitespace,
-    from the '#' through the closing ']'. Ranges are half-open.
+    Matches `#![feature(...)]` and `#[feature(...)]` modulo whitespace
+    and comments, from the '#' through the closing ']'. Ranges are
+    half-open.
     """
-    sig = significant_tokens(tokens)
     square_close = {
         s.open_at: s.close_at for s in spans if s.kind is BracketKind.SQUARE
     }
@@ -84,9 +89,9 @@ def cloze(source: str, seed_id: str = "") -> list[MaskedVariant]:
     legitimate mutation. A variant is special when its pair lies inside
     a feature-gate attribute.
     """
-    tokens = lex(source).tokens
-    spans = find_spans(source, tokens)
-    ranges = _attribute_ranges(tokens, spans)
+    sig = significant_tokens(lex(source).tokens)
+    spans = find_spans(source, sig)
+    ranges = _attribute_ranges(sig, spans)
     variants: list[MaskedVariant] = []
     # spans and ranges both ascend by start: a span lies inside a range
     # exactly when it closes before the furthest end of those opened

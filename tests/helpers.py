@@ -12,12 +12,9 @@ from __future__ import annotations
 import random
 
 from clozefuzz.brackets import (
-    _CLOSE_KIND,
-    _OPEN_KIND,
     BracketKind,
     BracketSpan,
-    _angle_opener_plausible,
-    _match_classical,
+    _match_pairs,
     find_spans,
 )
 from clozefuzz.lexer import Token, TokenKind, lex, significant_tokens
@@ -145,8 +142,8 @@ def fixture_corpus_texts(count: int = 50) -> list[str]:
 
 def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
     """The feature-gate attribute ranges ``cloze`` computes for ``source``."""
-    tokens = lex(source).tokens
-    return _attribute_ranges(tokens, find_spans(source, tokens))
+    sig = significant_tokens(lex(source).tokens)
+    return _attribute_ranges(sig, find_spans(source, sig))
 
 
 # --- reference spec: the original quadratic angle matcher --------------------
@@ -158,7 +155,21 @@ def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
 # attribute range per span, and prefix and suffix copied per variant.
 # Slow (quadratic in the worst case) but plainly faithful to the rules,
 # so the single-pass matcher and the single-lex ``cloze`` are checked
-# against it.
+# against it. The (), {}, [] pairs come from the package's one-pass
+# matcher, with its angle pairs left out.
+
+_OPEN_KIND = {"(": BracketKind.PAREN, "{": BracketKind.BRACE, "[": BracketKind.SQUARE}
+_CLOSE_KIND = {")": BracketKind.PAREN, "}": BracketKind.BRACE, "]": BracketKind.SQUARE}
+
+
+def _angle_opener_plausible(prev: Token | None) -> bool:
+    # '<' can only start a generic argument list after a name, a path
+    # separator, or a previous closing '>' (e.g. Foo<T>::Bar<U>)
+    if prev is None:
+        return False
+    if prev.kind is TokenKind.IDENTIFIER:
+        return True
+    return prev.kind is TokenKind.PUNCT and prev.text in ("::", ">")
 
 
 def _scan_angle_close(sig: list[Token], open_idx: int) -> int | None:
@@ -212,7 +223,8 @@ def reference_match_angles(sig: list[Token]) -> list[tuple[BracketKind, int, int
 def reference_find_spans(source: str) -> list[BracketSpan]:
     tokens = lex(source).tokens
     sig = significant_tokens(tokens)
-    raw = _match_classical(tokens) + reference_match_angles(sig)
+    classical = [p for p in _match_pairs(tokens) if p[0] is not BracketKind.ANGLE]
+    raw = classical + reference_match_angles(sig)
 
     spans = [BracketSpan(kind, open_at, close_at) for kind, open_at, close_at in raw]
     spans.sort(key=lambda s: (s.open_at, -s.close_at))

@@ -895,6 +895,29 @@ class TestStops:
         assert saved["budget_exhausted"] == "seconds"
         assert saved["candidates_compiled"] == 0
 
+    def test_time_budget_cuts_preflight_short(self, tmp_path, sleepy):
+        # both seeds sleep through their preflight compiles
+        compiler, corpus, pids, work = sleepy
+        (corpus / "other.rs").write_text(SEED_FEATURE + "\n", encoding="utf-8")
+        compiler.timeout_secs = 5.0
+        cfg = CampaignConfig(
+            corpus_dir=corpus,
+            out_dir=tmp_path / "out",
+            compilers=[compiler],
+            infill=InfillConfig(backend=MockBackend(["slow_1()"])),
+            budget_seconds=1,
+            workers=2,
+        )
+        began = time.monotonic()
+        report = run_campaign(cfg)
+        assert time.monotonic() - began < 1.5
+        assert report.budget_exhausted == "seconds"
+        assert report.candidates_compiled == 0
+        self.assert_nothing_left(pids, work)
+        saved = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert saved["budget_exhausted"] == "seconds"
+        assert saved["candidates_compiled"] == 0
+
 
 class TestReportBugUnit:
     def test_unknown_seed_id_still_produces_a_bundle(

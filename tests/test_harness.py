@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
@@ -178,6 +179,53 @@ def test_stream_cap_counts_bytes_of_multibyte_output(scripted):
     assert len(outcome.stderr.encode("utf-8")) <= STREAM_CAP + len(
         TRUNCATION_MARKER.encode("utf-8")
     )
+
+
+_COMPILE_IN_CHILD = """
+import json, resource, sys
+from clozefuzz.harness import TRUNCATION_MARKER, CompilerConfig, compile_program
+from clozefuzz.oracle import classify
+
+cfg = CompilerConfig(binary_path=sys.argv[1], kind="scripted-fake", timeout_secs=60)
+outcome = compile_program("fn main() {}", cfg)
+print(json.dumps({
+    "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "kind": classify(outcome, "scripted-fake").value,
+    "exit": outcome.exit_status,
+    "truncated": outcome.stderr.endswith(TRUNCATION_MARKER),
+}))
+"""
+
+
+def _compile_in_child(binary: str) -> dict:
+    """One compile in a fresh interpreter, whose peak RSS is then that
+    compile's."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _COMPILE_IN_CHILD, binary],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_output_is_capped_while_it_is_read(scripted):
+    # an ICE, then 100 MB more: the fuzzer keeps 1 MiB of it, and the
+    # compiler runs to its own exit status instead of being cut off
+    loud = scripted("loud", """
+    echo "error: internal compiler error: seeded" >&2
+    head -c 100000000 /dev/zero | tr '\\0' 'n' >&2
+    exit 101
+    """)
+    quiet = _compile_in_child(scripted("quiet", "exit 0\n"))
+    noisy = _compile_in_child(loud)
+    assert noisy["kind"] == "ice"
+    assert noisy["exit"] == 101
+    assert noisy["truncated"]
+    assert noisy["rss_kb"] - quiet["rss_kb"] < 10 * 1024
 
 
 def test_environment_is_allowlisted(scripted, monkeypatch):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import random
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from clozefuzz.brackets import BracketKind
 from clozefuzz.infill import (
     DEFAULT_SENTINEL,
     BackendProtocolError,
@@ -99,6 +101,29 @@ def test_candidate_keeps_delimiters_and_request_carries_sentinel():
         assert r.candidate_text.endswith(variant.suffix)
 
 
+def test_request_log_keeps_no_copy_of_the_seed():
+    seed = "".join(
+        f"fn f{i}(a: Vec<u8>) -> usize {{ let x = [a.len(), {i}]; x[0] }}\n"
+        for i in range(1300)
+    )
+    assert len(seed) >= 80_000
+    variants = cloze(seed, "big")
+    backend = MockBackend([str(i) for i in range(64)])
+    cfg = InfillConfig(backend=backend)
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300):
+            infill(variants[i % len(variants)], cfg, rng)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(backend.calls) == 300
+    # one rendered copy per logged request would be 300 x 80 KB = 24 MB
+    assert grown < 4_000_000
+
+
 def test_transport_errors_skip_the_attempt():
     class Flaky:
         backend_id = "flaky"
@@ -159,7 +184,11 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
         type(self).received.append(
-            {"json": json.loads(body), "auth": self.headers.get("Authorization")}
+            {
+                "raw": body,
+                "json": json.loads(body),
+                "auth": self.headers.get("Authorization"),
+            }
         )
         if type(self).script:
             status, payload, ctype = type(self).script.pop(0)
@@ -189,13 +218,23 @@ def http_service():
 
 
 def _request(temp=0.8):
+    # the body of `fn main() {}`, which renders to `fn main() {<infill>}`
+    body = next(v for v in cloze("fn main() {}") if v.span.kind is BracketKind.BRACE)
     return CompletionRequest(
-        masked_text="fn main() {<infill>}",
+        variant=body,
         sentinel="<infill>",
         temperature=temp,
         max_tokens=64,
-        original_interior="",
     )
+
+
+def test_request_is_a_view_of_its_variant():
+    request = _request()
+    assert request.masked_text == "fn main() {<infill>}"
+    assert request.original_interior == ""
+    # rendered on every read, never kept
+    assert request.masked_text is not request.masked_text
+    assert "masked_text" not in vars(request)
 
 
 def test_http_backend_wire_format(http_service, monkeypatch):
@@ -212,6 +251,11 @@ def test_http_backend_wire_format(http_service, monkeypatch):
         "max_tokens": 64,
     }
     assert seen["auth"] == "Bearer sekrit"
+    # byte for byte the body sent when a request held its masked text
+    assert seen["raw"] == (
+        b'{"masked_text": "fn main() {<infill>}", "sentinel": "<infill>", '
+        b'"temperature": 0.8, "max_tokens": 64}'
+    )
 
 
 def test_http_backend_no_token_no_auth_header(http_service, monkeypatch):
@@ -268,6 +312,16 @@ def test_replay_records_then_replays_without_inner(tmp_path):
     offline = ReplayBackend(tmp_path / "cache")
     assert offline.complete(_request()) == "recorded fill"
     assert len(inner.calls) == 1  # the replay never touched the inner backend
+
+
+def test_replay_key_is_unchanged(tmp_path):
+    # the file name a cache recorded before requests became views, so
+    # recorded caches keep replaying
+    inner = MockBackend(["recorded fill"])
+    ReplayBackend(tmp_path / "cache", inner=inner).complete(_request())
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+        "b29183d3a9c9f23712d069b7c87a6757_t0.8.json"
+    ]
 
 
 def test_replay_miss_without_inner_raises(tmp_path):
