@@ -1,14 +1,18 @@
 """Compiler invocation harness.
 
-Runs a compiler on candidate programs in throwaway directories, with a
-hard wall-clock limit, process-group cleanup, and capped output
-capture. The cap holds while the output is read: past ``STREAM_CAP``
-bytes a stream is read on and thrown away, so a compiler that prints
-gigabytes costs no memory. Output printed before a timeout is kept,
-so ``time_passes`` can locate a hang from the pass-timing lines of the
-compile that timed out (rustc prints them under ``-Ztime-passes``,
-which callers opt into through the compiler flags) without compiling
-the program again.
+Runs a compiler on candidate programs, with a hard wall-clock limit,
+process-group cleanup, and capped output capture. Each thread that
+compiles keeps one scratch directory for its lifetime, emptied after
+every compile, instead of making and removing one per compile. A
+compile ends when its compiler does: its process group is killed then,
+so neither a straggler in the group nor a process that escaped it can
+hold the compile open through the pipes. The cap holds while the
+output is read: past ``STREAM_CAP`` bytes a stream is read on and
+thrown away, so a compiler that prints gigabytes costs no memory.
+Output printed before a timeout is kept, so ``time_passes`` can locate
+a hang from the pass-timing lines of the compile that timed out (rustc
+prints them under ``-Ztime-passes``, which callers opt into through
+the compiler flags) without compiling the program again.
 A compile is registered while it runs, so ``killing_compiles`` can
 stop them all at once when a campaign ends with compiles in flight.
 
@@ -33,6 +37,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,6 +218,16 @@ def _cap_stream(data: bytes) -> str:
     return data[:cut].decode("utf-8", errors="replace") + TRUNCATION_MARKER
 
 
+def _read(fd: int, kept: bytearray) -> bool:
+    """Read one chunk of ``fd``, keep what fits under the cap in
+    ``kept``, and say whether the stream goes on."""
+    chunk = os.read(fd, _READ_SIZE)
+    room = STREAM_CAP + 1 - len(kept)
+    if room > 0:
+        kept += chunk[:room]
+    return bool(chunk)
+
+
 def _communicate(
     proc: subprocess.Popen, timeout: float
 ) -> tuple[bytes, bytes, bool]:
@@ -220,51 +235,120 @@ def _communicate(
     + 1 bytes of each stream, enough for ``_cap_stream`` to see the
     cut, and throws the rest away as it arrives.
 
-    Both pipes are still read to EOF, so a compiler that prints a lot
-    never blocks on a full pipe and ends with its own exit status. On
-    timeout its process group is killed and what it printed until then
-    is kept. Returns ``(stdout, stderr, timed out)``.
+    Both pipes are read while the compiler runs, so one that prints a
+    lot never blocks on a full pipe and ends with its own exit status.
+    On timeout its process group is killed. Once the compiler has
+    exited, its group is killed and what the pipes already hold is
+    kept: a process that left the group may hold them open forever, and
+    is not waited for. Returns ``(stdout, stderr, timed out)``.
     """
     deadline = time.monotonic() + timeout
     out, err = bytearray(), bytearray()
     kept = {proc.stdout.fileno(): out, proc.stderr.fileno(): err}
-    timed_out = False
-    # poll, as subprocess uses: for two pipes it costs fewer system
-    # calls than epoll, which makes and closes a kernel object per compile
-    with selectors.PollSelector() as selector:
-        for fd in kept:
-            selector.register(fd, selectors.EVENT_READ)
-        while selector.get_map():
-            left = deadline - time.monotonic()
-            if left <= 0 and not timed_out:
-                timed_out = True
-                _kill_process_group(proc)
-            # once killed, read on until every holder of a pipe is gone
-            for key, _ in selector.select(None if timed_out else left):
-                chunk = os.read(key.fd, _READ_SIZE)
-                if not chunk:
-                    selector.unregister(key.fd)
-                    continue
-                buf = kept[key.fd]
-                room = STREAM_CAP + 1 - len(buf)
-                if room > 0:
-                    buf += chunk[:room]
-    if not timed_out:
-        # a compiler may close its pipes and still run
-        try:
-            proc.wait(max(deadline - time.monotonic(), 0))
-        except subprocess.TimeoutExpired:
-            timed_out = True
+    timed_out = exited = False
+    # readable once the compiler has exited, and still unreaped
+    pidfd = os.pidfd_open(proc.pid)
+    try:
+        # poll, as subprocess uses: for three descriptors it costs fewer
+        # system calls than epoll, which makes and closes a kernel
+        # object per compile
+        with selectors.PollSelector() as selector:
+            for fd in kept:
+                selector.register(fd, selectors.EVENT_READ)
+            selector.register(pidfd, selectors.EVENT_READ)
+            while not exited:
+                left = deadline - time.monotonic()
+                if left <= 0 and not timed_out:
+                    timed_out = True
+                    _kill_process_group(proc)
+                for key, _ in selector.select(None if timed_out else left):
+                    if key.fd == pidfd:
+                        exited = True
+                    elif not _read(key.fd, kept[key.fd]):
+                        selector.unregister(key.fd)
+            # unreaped, the compiler still holds its group id, so the
+            # kill cannot reach a group that reused it
             _kill_process_group(proc)
+            selector.unregister(pidfd)
+            # read what is already there, and stop at the cap: past it
+            # nothing is kept, and no writer is left to unblock
+            while ready := selector.select(0):
+                for key, _ in ready:
+                    buf = kept[key.fd]
+                    if not _read(key.fd, buf) or len(buf) > STREAM_CAP:
+                        selector.unregister(key.fd)
+    finally:
+        os.close(pidfd)
     proc.wait()
     return bytes(out), bytes(err), timed_out
 
 
 def _kill_process_group(proc: subprocess.Popen) -> None:
+    # start_new_session makes the compiler its group's leader, and a
+    # session leader cannot leave its group, so the group id is its pid
     try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
+
+
+class _Scratch:
+    """A thread's scratch directory, removed once nothing holds this
+    object: when its thread ends, when it is dropped, or at interpreter
+    exit."""
+
+    def __init__(self) -> None:
+        self.path = tempfile.mkdtemp(prefix="clozefuzz-")
+        weakref.finalize(self, shutil.rmtree, self.path, ignore_errors=True)
+
+
+# each thread's _Scratch, made on its first compile
+_local = threading.local()
+
+
+def _write_input(program: str) -> str:
+    """Write ``program`` as input.rs into this thread's scratch
+    directory, and return the directory.
+
+    input.rs is always created anew, never opened through a link a
+    compiler left. A directory that has gone, or that already holds an
+    input.rs, is replaced by a fresh one.
+    """
+    data = program.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    scratch = getattr(_local, "scratch", None) or _Scratch()
+    try:
+        fd = os.open(os.path.join(scratch.path, "input.rs"), flags, 0o666)
+    except (FileNotFoundError, FileExistsError):
+        scratch = _Scratch()
+        fd = os.open(os.path.join(scratch.path, "input.rs"), flags, 0o666)
+    _local.scratch = scratch
+    with open(fd, "wb") as f:
+        f.write(data)
+    return scratch.path
+
+
+def _empty(workdir: str) -> bool:
+    """Empty this thread's scratch directory after a compile, and say
+    whether the compile left anything beside input.rs.
+
+    Links are removed, never followed. A directory that cannot be
+    emptied is dropped, so the thread's next compile makes a fresh one.
+    """
+    artifact = False
+    try:
+        with os.scandir(workdir) as listing:
+            entries = list(listing)
+        for entry in entries:
+            artifact = artifact or entry.name != "input.rs"
+            if entry.is_dir(follow_symlinks=False):
+                shutil.rmtree(entry.path)
+            else:
+                os.unlink(entry.path)
+    except OSError:
+        # its finalizer removes what it can
+        _local.scratch = None
+    return artifact
 
 
 # every compile between its spawn and its reap, so a campaign that
@@ -296,19 +380,20 @@ def killing_compiles():
 def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     """Compile one program text and report what happened.
 
-    Each run gets a fresh scratch directory holding input.rs, under
-    ``TMPDIR`` when it is set; the compiler runs there so object files
-    and temporaries stay contained.
-    On timeout the whole process group is killed, so rustc's child
-    processes do not linger, and what it printed until then is kept.
+    The compiler runs in this thread's scratch directory, made under
+    ``TMPDIR`` when it is set, with input.rs as the only file there, so
+    object files and temporaries stay contained. The directory is
+    emptied after the compile and kept for the thread's next one.
+    A compile ends when its compiler exits or is killed on timeout;
+    either way its whole process group is then killed, so rustc's
+    child processes do not linger, and what it printed is kept.
     However the call ends, Ctrl-C included, a compiler still running
-    is killed with its group and reaped, and the directory removed.
+    is killed with its group and reaped, and the directory emptied.
     """
     cmd = cfg.command("input.rs")
-    workdir = tempfile.mkdtemp(prefix="clozefuzz-")
+    workdir = _write_input(program)
     proc = None
     try:
-        (Path(workdir) / "input.rs").write_text(program, encoding="utf-8")
         started = time.monotonic()
         try:
             proc = subprocess.Popen(
@@ -327,16 +412,6 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
                 _kill_process_group(proc)
         out, err, timed_out = _communicate(proc, cfg.timeout_secs)
         wall = time.monotonic() - started
-        return CompileOutcome(
-            exit_status=proc.returncode,
-            stdout=_cap_stream(out),
-            stderr=_cap_stream(err),
-            wall_time=wall,
-            timed_out=timed_out,
-            artifact_present=any(
-                entry.name != "input.rs" for entry in Path(workdir).iterdir()
-            ),
-        )
     finally:
         if proc is not None:
             with _running_lock:
@@ -347,7 +422,15 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
             proc.stdout.close()
             proc.stderr.close()
             proc.wait()
-        shutil.rmtree(workdir, ignore_errors=True)
+        artifact_present = _empty(workdir)
+    return CompileOutcome(
+        exit_status=proc.returncode,
+        stdout=_cap_stream(out),
+        stderr=_cap_stream(err),
+        wall_time=wall,
+        timed_out=timed_out,
+        artifact_present=artifact_present,
+    )
 
 
 def time_passes(outcome: CompileOutcome) -> list[tuple[str, float]]:

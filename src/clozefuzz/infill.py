@@ -257,7 +257,8 @@ def infill(
     random temperatures in [0, 1); others exactly one at the base
     temperature. Identity fills and intra-call duplicates are dropped.
     Transport failures skip the attempt and are only logged; protocol
-    failures propagate.
+    failures propagate, a fill that is not encodable as UTF-8 among
+    them.
     """
     backend = cfg.backend
     if backend is None:
@@ -284,6 +285,13 @@ def infill(
         except BackendTransportError as exc:
             logger.warning("infill attempt failed at transport level: %s", exc)
             continue
+        # JSON carries lone surrogates, which no program file can hold
+        try:
+            fill.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BackendProtocolError(
+                "fill is not encodable as UTF-8", payload=fill
+            ) from exc
         if fill in seen:
             continue
         seen.add(fill)

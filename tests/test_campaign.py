@@ -109,6 +109,24 @@ class TestArithmetic:
         assert "campaign summary" in text
         assert report.generated_at  # timestamp was stamped before saving
 
+    def test_a_finished_campaign_leaves_no_scratch_directory(
+        self, corpus_dir, tmp_path, trigger_compiler, monkeypatch
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(work))
+        cfg = make_config(
+            corpus_dir, tmp_path, trigger_compiler, ["safe()", "0xBUG boom()"],
+            budget=6, workers=2,
+        )
+        report = run_campaign(cfg)
+        assert report.budget_exhausted == "candidates"
+        assert report.candidates_compiled == 6
+        assert not list(work.glob("clozefuzz-*"))
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("clozefuzz-")
+        ]
+
     def test_all_ice_fills_dedupe_to_one_bundle(
         self, corpus_dir, tmp_path, trigger_compiler
     ):
@@ -451,6 +469,22 @@ class TestFailureModes:
             [str(repro)], capture_output=True, text=True, timeout=30
         )
         assert proc.returncode == 101
+
+    def test_a_fill_not_encodable_as_utf8_is_an_infill_error(
+        self, corpus_dir, tmp_path, trigger_compiler
+    ):
+        lone_surrogate = json.loads('"\\ud800"')
+        cfg = make_config(
+            corpus_dir, tmp_path, trigger_compiler,
+            ["ok_one()", lone_surrogate, "0xBUG boom()"], budget=6,
+        )
+        report = run_campaign(cfg)
+        assert report.aborted is None
+        assert report.budget_exhausted == "candidates"
+        assert report.infill_errors >= 1
+        assert report.candidates_compiled == 6
+        assert report.outcomes["ice"] >= 1
+        assert report.outcomes["pass"] >= 1
 
     def test_compiler_vanishing_mid_run_stops_gracefully(
         self, corpus_dir, tmp_path, scripted

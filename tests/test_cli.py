@@ -54,9 +54,10 @@ SPE_REPORT_KEYS = {"seeds", "seeds_over_threshold", "programs_generated"}
 SPE_TRIAGE_KEYS = {"pass", "reject", "ice", "hang", "interesting", "duplicate"}
 
 
-def run_module(args, timeout):
+def run_module(args, timeout, **env):
     """Run ``python -m clozefuzz`` on the package under test, also when
-    pytest alone put it on the path."""
+    pytest alone put it on the path, with ``env`` added to the
+    environment."""
     src = str(Path(clozefuzz.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
@@ -64,7 +65,11 @@ def run_module(args, timeout):
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        env={
+            **os.environ,
+            **env,
+            "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+        },
     )
 
 
@@ -487,6 +492,27 @@ class TestSpeCommand:
         assert rc == 2
         assert "environment error" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/candidates/*.rs"))
+
+    def test_a_run_leaves_no_scratch_directory(self, spe_corpus, tmp_path, scripted):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        log = tmp_path / "cwd.log"
+        compiler = scripted("where", f'pwd >> "{log}"\nexit 0\n')
+        out = tmp_path / "out"
+        proc = run_module(
+            spe_args(
+                spe_corpus, out, "--compiler", compiler,
+                "--compiler-kind", "scripted-fake",
+            ),
+            timeout=60,
+            TMPDIR=str(tmp),
+        )
+        assert proc.returncode == 0, proc.stderr
+        # every compile ran in one directory under TMPDIR, removed at exit
+        cwds = set(log.read_text().splitlines())
+        assert len(cwds) == 1
+        assert os.path.dirname(cwds.pop()) == os.path.realpath(tmp)
+        assert not list(tmp.glob("clozefuzz-*"))
 
     def test_fewer_arrangements_than_the_sample_do_not_hang(self, tmp_path):
         # [a, b, a, b] has 6 arrangements, so 5 besides the identity:

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import (
@@ -128,6 +129,135 @@ def test_an_interrupt_mid_compile_kills_the_compile(scripted, tmp_path):
             os.killpg(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def _dead(pid: int, within: float = 2.0) -> bool:
+    """Whether ``pid`` is gone or a zombie within ``within`` seconds:
+    an orphan killed here may wait for a reaper that never comes."""
+    give_up = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > give_up:
+            return False
+        time.sleep(0.02)
+
+
+def _pid_from(pidfile, within: float = 5.0) -> int:
+    give_up = time.monotonic() + within
+    while not (pidfile.exists() and pidfile.read_text().strip()):
+        assert time.monotonic() < give_up, "the escaped process never started"
+        time.sleep(0.02)
+    return int(pidfile.read_text())
+
+
+@pytest.mark.parametrize(
+    "case, took, timed_out",
+    [
+        ("straggler in the group", 0.9, False),
+        ("escaped the group", 0.9, False),
+        ("escaped, then hangs", 3.0, True),
+    ],
+)
+def test_a_compile_ends_when_its_compiler_does(
+    scripted, tmp_path, case, took, timed_out
+):
+    pidfile = tmp_path / "pid"
+    if case == "straggler in the group":
+        body = f'sleep 3 &\necho $! > "{pidfile}"\nexit 0\n'
+    else:
+        # the escaped sleep holds both pipes open, in a session of its
+        # own that it has surely entered before the compiler goes on
+        escape = (
+            f"setsid sh -c 'echo $$ > \"{pidfile}\"; exec sleep 6' &\n"
+            f'until [ -s "{pidfile}" ]; do sleep 0.01; done\n'
+        )
+        body = escape + ("exit 0\n" if case == "escaped the group" else "exec sleep 30\n")
+    cfg = fake_cfg(scripted("leaves", body), timeout_secs=1.0)
+    started = time.monotonic()
+    try:
+        outcome = compile_program("fn main() {}", cfg)
+        elapsed = time.monotonic() - started
+    finally:
+        pid = _pid_from(pidfile)
+        if case != "straggler in the group":
+            try:
+                os.killpg(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert elapsed < took
+    assert outcome.timed_out is timed_out
+    if not timed_out:
+        assert outcome.exit_status == 0
+        assert classify(outcome, "scripted-fake") is BugKind.PASS
+    if case == "straggler in the group":
+        assert _dead(pid)
+
+
+def test_compiles_on_one_thread_share_a_directory_left_empty(scripted, tmp_path):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("keep me\n")
+    # report the directory and what it holds, then litter it with a
+    # file, a subdirectory and an input.rs that links outside
+    body = f"""
+    pwd
+    ls -A
+    cat input.rs
+    : > litter.o
+    mkdir -p sub/deeper && : > sub/deeper/x
+    rm input.rs && ln -s "{outside}" input.rs
+    exit 0
+    """
+    cfg = fake_cfg(scripted("litter", body))
+    first = compile_program("// first\n", cfg).stdout.splitlines()
+    second = compile_program("// second\n", cfg).stdout.splitlines()
+    assert first[1:] == ["input.rs", "// first"]
+    assert second == [first[0], "input.rs", "// second"]
+    assert outside.read_text() == "keep me\n"
+
+
+def test_two_workers_use_at_most_two_directories(scripted, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
+    cfg = fake_cfg(scripted("pwd", "pwd\nexit 0\n"))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(compile_program, ["fn main() {}"] * 20, [cfg] * 20))
+    dirs = {outcome.stdout.strip() for outcome in outcomes}
+    assert 1 <= len(dirs) <= 2
+    # each is removed when its thread ends
+    assert not list(work.glob("clozefuzz-*"))
+
+
+def test_a_failed_emptying_is_followed_by_a_fresh_directory(
+    scripted, tmp_path, monkeypatch
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
+    cfg = fake_cfg(scripted("pwd_ls", "pwd\nls -A\n: > litter.o\nexit 0\n"))
+    unlink = os.unlink
+
+    def fails_once(*args, **kwargs):
+        monkeypatch.setattr(os, "unlink", unlink)
+        raise PermissionError("not this time")
+
+    monkeypatch.setattr(os, "unlink", fails_once)
+
+    def two_compiles():
+        return [compile_program("fn main() {}", cfg).stdout.split() for _ in "12"]
+
+    # on a fresh thread, whose directories are all made under work
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first, second = pool.submit(two_compiles).result(timeout=30)
+    assert os.unlink is unlink
+    assert first[1:] == second[1:] == ["input.rs"]
+    assert second[0] != first[0]
+    assert not list(work.glob("clozefuzz-*"))
 
 
 def test_concurrent_compiles_leave_no_compile_registered(scripted):

@@ -158,6 +158,14 @@ def test_protocol_errors_propagate():
         infill(variant, cfg, random.Random(0))
 
 
+def test_a_fill_not_encodable_as_utf8_is_a_protocol_error():
+    # JSON decodes a lone surrogate to a str that UTF-8 cannot encode
+    backend = MockBackend([json.loads('"\\ud800"')])
+    variant = pick_variant(PLAIN, special=False)
+    with pytest.raises(BackendProtocolError):
+        infill(variant, InfillConfig(backend=backend), random.Random(0))
+
+
 def test_missing_backend_is_a_config_error():
     variant = pick_variant(PLAIN, special=False)
     with pytest.raises(ValueError):
