@@ -5,9 +5,9 @@ augment (training-set export), spe (variable-permutation baseline),
 spans and mask (debug views of bracket extraction), classify (offline
 triage of a captured compiler run).
 
-Exit codes: 0 success, 1 configuration error, 2 environment error
-(missing binary, unreachable service, unreadable corpus), 3 fuzz or
-spe run aborted mid-run.
+Exit codes, all set in ``main``: 0 success, 1 configuration error, 2
+environment error before a run starts (missing binary, unreadable corpus,
+unwritable output directory or bug store), 3 fuzz or spe run cut short.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .harness import (
     ensure_compiler,
     time_passes,
 )
-from .infill import DEFAULT_SENTINEL, HttpBackend, InfillConfig, backend_from_spec
+from .infill import DEFAULT_SENTINEL, InfillConfig, backend_from_spec
 from .masking import cloze, render
 from .mining import DEFAULT_LABELS, MiningError, harvest
-from .oracle import BugKind, BugStore, Novelty, classify, signature
+from .oracle import BugKind, BugStore, BugStoreError, Novelty, classify, signature
 from .spe import (
     ENUMERATION_THRESHOLD,
     SAMPLE_SIZE,
@@ -52,32 +52,6 @@ from .spe import (
     extract_variables,
     permutation_count,
 )
-
-logger = logging.getLogger(__name__)
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return data
-
-
-def _merged(args: argparse.Namespace, config: dict, key: str, fallback):
-    """CLI flag beats config file beats built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return fallback
 
 
 def _read_text_arg(path: str, what: str) -> str:
@@ -87,109 +61,104 @@ def _read_text_arg(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _build_backend(args, config) -> object:
-    mock_script = _merged(args, config, "mock_script", None)
-    backend_url = _merged(args, config, "backend_url", None)
-    sentinel = _merged(args, config, "sentinel", DEFAULT_SENTINEL)
-    if mock_script and backend_url:
-        raise ConfigError("give either --backend-url or --mock-script, not both")
-    if mock_script:
-        try:
-            spec = json.loads(Path(mock_script).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read mock script {mock_script}: {exc}") from exc
-        spec.setdefault("sentinel", sentinel)
-        try:
-            return backend_from_spec(spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if backend_url:
-        return HttpBackend(backend_url, sentinel=sentinel)
-    raise ConfigError("a completion backend is required: --backend-url or --mock-script")
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        data = json.loads(_read_text_arg(path, what))
+    except ValueError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
 
 
-def _compiler_from_args(args, config) -> CompilerConfig:
-    binary = _merged(args, config, "compiler", None)
-    if not binary:
+def _build_backend(args: argparse.Namespace) -> object:
+    if bool(args.mock_script) == bool(args.backend_url):
+        raise ConfigError("give one completion backend: --backend-url or --mock-script")
+    if args.mock_script:
+        spec = _read_json_object(args.mock_script, "mock script")
+    else:
+        spec = {"kind": "http", "url": args.backend_url}
+    spec.setdefault("sentinel", args.sentinel)
+    try:
+        return backend_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _compiler_from_args(args: argparse.Namespace) -> CompilerConfig:
+    if not args.compiler:
         raise ConfigError("--compiler is required")
-    flags = _merged(args, config, "flags", None)
-    if isinstance(flags, str):
-        flags = tuple(shlex.split(flags))
-    elif flags is not None:
-        flags = tuple(flags)
     try:
         return CompilerConfig(
-            binary_path=binary,
-            kind=_merged(args, config, "compiler_kind", "rustc"),
-            extra_flags=flags,
-            timeout_secs=float(_merged(args, config, "timeout", 180.0)),
+            binary_path=args.compiler,
+            kind=args.compiler_kind,
+            extra_flags=args.flags,
+            timeout_secs=args.timeout,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _finish(name: str, summary: str, aborted: str | None) -> int:
+    """Print a run's summary; a run cut short says why and exits 3."""
+    sys.stdout.write(summary)
+    if aborted:
+        print(f"{name} aborted: {aborted}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    backend = _build_backend(args, config)
     try:
         infill_cfg = InfillConfig(
-            time_max=int(_merged(args, config, "time_max", 4)),
-            base_temperature=float(_merged(args, config, "base_temperature", 0.8)),
-            max_fill_tokens=int(_merged(args, config, "max_fill_tokens", 256)),
-            backend=backend,
+            time_max=args.time_max,
+            base_temperature=args.base_temperature,
+            # set only from a config file, so no option's type converts it
+            max_fill_tokens=int(args.max_fill_tokens),
+            backend=_build_backend(args),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    corpus_dir = _merged(args, config, "corpus", None)
-    out_dir = _merged(args, config, "out", None)
-    if not corpus_dir or not out_dir:
+    if not args.corpus or not args.out:
         raise ConfigError("--corpus and --out are required")
-
-    budget_candidates = _merged(args, config, "budget_candidates", None)
-    budget_seconds = _merged(args, config, "budget_seconds", None)
     campaign_cfg = CampaignConfig(
-        corpus_dir=corpus_dir,
-        out_dir=out_dir,
-        compilers=[_compiler_from_args(args, config)],
+        corpus_dir=args.corpus,
+        out_dir=args.out,
+        compilers=[_compiler_from_args(args)],
         infill=infill_cfg,
-        budget_candidates=(
-            int(budget_candidates) if budget_candidates is not None else None
-        ),
-        budget_seconds=(
-            float(budget_seconds) if budget_seconds is not None else None
-        ),
-        seed=int(_merged(args, config, "seed", 0)),
-        workers=int(_merged(args, config, "workers", 1)),
-        skip_preflight=bool(_merged(args, config, "skip_preflight", False)),
+        budget_candidates=args.budget_candidates,
+        budget_seconds=args.budget_seconds,
+        seed=args.seed,
+        workers=args.workers,
+        skip_preflight=args.skip_preflight,
     )
     try:
         report = run_campaign(campaign_cfg)
+    except CampaignAbortedError as exc:
+        report = exc.partial_report
     except KeyboardInterrupt:
         # the campaign saved its report before letting the interrupt out
-        print("campaign aborted: interrupted", file=sys.stderr)
-        return 3
-    sys.stdout.write(report.to_text())
-    if report.aborted:
-        print(f"campaign aborted: {report.aborted}", file=sys.stderr)
-        return 3
-    return 0
+        return _finish("campaign", "", "interrupted")
+    return _finish("campaign", report.to_text(), report.aborted)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     if (args.fixture_dir is None) == (args.repo is None):
         raise ConfigError("give exactly one of --fixture-dir or --repo")
-    corpus_dir = Path(args.corpus)
-    if (corpus_dir / "manifest.jsonl").is_file():
-        corpus = Corpus.open(corpus_dir)
-    else:
-        corpus = Corpus(storage_dir=corpus_dir)
     until = None
     if args.until:
         try:
             until = datetime.fromisoformat(args.until.replace("Z", "+00:00"))
         except ValueError as exc:
             raise ConfigError(f"bad --until timestamp: {args.until}") from exc
+    corpus_dir = Path(args.corpus)
+    if (corpus_dir / "manifest.jsonl").is_file():
+        corpus = Corpus.open(corpus_dir)
+    elif any(corpus_dir.rglob("*.rs")):
+        # a new manifest would hide these seeds from every later command
+        raise ConfigError(f"{corpus_dir} holds *.rs seeds but no manifest.jsonl")
+    else:
+        corpus = Corpus(storage_dir=corpus_dir)
     labels = tuple(x for x in (args.labels or "").split(",") if x) or DEFAULT_LABELS
     inserted = harvest(
         corpus,
@@ -223,11 +192,13 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_spe(args: argparse.Namespace) -> int:
-    target = _compiler_from_args(args, {}) if args.compiler else None
+    target = _compiler_from_args(args) if args.compiler else None
     if target is not None:
         ensure_compiler(target)
     corpus = open_corpus(args.corpus)
     out = Path(args.out)
+    # opened first, so a store that cannot be made leaves no candidate
+    store = BugStore(out / "bugstore") if target is not None else None
     candidates_dir = out / "candidates"
     candidates_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
@@ -255,22 +226,20 @@ def cmd_spe(args: argparse.Namespace) -> int:
 
     aborted = None
     if target is not None:
-        store = BugStore(out / "bugstore")
         outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
         novelty = dict.fromkeys(Novelty, 0)
+        # as in fuzz, a stop keeps the tallies of the compiles before it
         try:
             for text in generated:
-                try:
-                    outcome = compile_program(text, target)
-                except HarnessError as exc:
-                    # compiler vanished mid-run: report the tallies so far
-                    aborted = f"compiler unavailable mid-run: {exc}"
-                    break
+                outcome = compile_program(text, target)
                 found = triage(outcome, text, target, store, outcomes)
                 if found is not None:
                     novelty[found[1]] += 1
+        except HarnessError as exc:
+            aborted = f"compiler unavailable mid-run: {exc}"
+        except (BugStoreError, OSError) as exc:
+            aborted = f"cannot write findings: {exc}"
         except KeyboardInterrupt:
-            # as fuzz does: the compiles triaged so far keep their tallies
             aborted = "interrupted"
         summary.update(
             outcomes,
@@ -281,13 +250,9 @@ def cmd_spe(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    lines = [f"{k}: {v}" for k, v in sorted(summary.items())]
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    if aborted:
-        print(f"spe aborted: {aborted}", file=sys.stderr)
-        return 3
-    return 0
+    summary_text = "".join(f"{k}: {v}\n" for k, v in sorted(summary.items()))
+    (out / "report.txt").write_text(summary_text, encoding="utf-8")
+    return _finish("spe", summary_text, aborted)
 
 
 def cmd_spans(args: argparse.Namespace) -> int:
@@ -339,7 +304,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The parser, which holds every default. A config file's values
+    (``config``) override the defaults of fuzz's options and the file-only
+    ``max_fill_tokens``, converted as flags are; other keys are ignored."""
     parser = argparse.ArgumentParser(
         prog="clozefuzz",
         description="Mutate bracket interiors of seed programs, refill them "
@@ -347,89 +315,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
-    fuzz.add_argument("--corpus", help="seed corpus directory")
-    fuzz.add_argument("--compiler", help="compiler binary to fuzz")
-    fuzz.add_argument(
+    # the compile target: fuzz and spe take all of it, classify the kind
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument(
         "--compiler-kind",
-        dest="compiler_kind",
         choices=COMPILER_KINDS,
+        default="rustc",
         help="how to interpret compiler output (default rustc)",
     )
-    fuzz.add_argument("--flags", help="extra compiler flags, shell-quoted string")
-    fuzz.add_argument("--timeout", type=float, help="per-compile timeout seconds")
-    fuzz.add_argument("--backend-url", dest="backend_url", help="completion service URL")
-    fuzz.add_argument(
-        "--mock-script",
-        dest="mock_script",
-        help="JSON backend description for offline runs",
-    )
-    fuzz.add_argument(
-        "--budget-candidates",
-        dest="budget_candidates",
-        type=int,
-        help="stop after this many candidate compiles",
-    )
-    fuzz.add_argument(
-        "--budget-seconds",
-        dest="budget_seconds",
+    target = argparse.ArgumentParser(add_help=False, parents=[kind])
+    target.add_argument("--compiler", help="compiler binary; spe compiles only with it")
+    target.add_argument("--flags", type=shlex.split, help="compiler flags, shell-quoted")
+    target.add_argument(
+        "--timeout",
         type=float,
-        help="stop after this much wall-clock time",
+        default=CompilerConfig.timeout_secs,
+        help="per-compile timeout seconds",
     )
-    fuzz.add_argument("--seed", type=int, help="rng seed (default 0)")
-    fuzz.add_argument("--workers", type=int, help="parallel compile workers")
+
+    fuzz = sub.add_parser("fuzz", parents=[target], help="run a fuzzing campaign")
+    fuzz.add_argument("--corpus", help="seed corpus directory")
+    fuzz.add_argument("--backend-url", help="completion service URL")
+    fuzz.add_argument("--mock-script", help="JSON backend description for offline runs")
+    fuzz.add_argument("--budget-candidates", type=int, help="candidate compile budget")
+    fuzz.add_argument("--budget-seconds", type=float, help="wall-clock time budget")
+    fuzz.add_argument("--seed", type=int, default=CampaignConfig.seed, help="rng seed")
+    fuzz.add_argument(
+        "--workers", type=int, default=CampaignConfig.workers, help="compile workers"
+    )
     fuzz.add_argument("--out", help="output directory")
     fuzz.add_argument("--config", help="JSON config file; flags override it")
     fuzz.add_argument(
-        "--skip-preflight",
-        dest="skip_preflight",
-        action="store_const",
-        const=True,
-        help="skip the seed preflight compile pass",
+        "--skip-preflight", action="store_true", help="skip the seed preflight pass"
     )
-    fuzz.add_argument("--sentinel", help="mask marker for the backend")
-    fuzz.add_argument("--time-max", dest="time_max", type=int, help="attempts per special mask")
+    fuzz.add_argument("--sentinel", default=DEFAULT_SENTINEL, help="backend mask marker")
+    fuzz.add_argument(
+        "--time-max",
+        type=int,
+        default=InfillConfig.time_max,
+        help="attempts per special mask",
+    )
     fuzz.add_argument(
         "--base-temperature",
-        dest="base_temperature",
         type=float,
+        default=InfillConfig.base_temperature,
         help="sampling temperature for ordinary masks",
     )
-    fuzz.set_defaults(func=cmd_fuzz)
+    fuzz.set_defaults(func=cmd_fuzz, max_fill_tokens=InfillConfig.max_fill_tokens)
+    if config:
+        types = {action.dest: action.type for action in fuzz._actions}
+        # argparse converts and checks string defaults only, so numbers go as strings
+        for key, value in config.items():
+            if types.get(key) and isinstance(value, (int, float)):
+                value = str(value)
+            if key in types or key == "max_fill_tokens":
+                fuzz.set_defaults(**{key: value})
 
     mine = sub.add_parser("mine", help="harvest code snippets from bug reports")
     mine.add_argument("--corpus", required=True, help="corpus directory to fill")
-    mine.add_argument("--fixture-dir", dest="fixture_dir", help="local JSON issue fixtures")
+    mine.add_argument("--fixture-dir", help="local JSON issue fixtures")
     mine.add_argument("--repo", help="owner/name of a hosted repository")
     mine.add_argument("--labels", help="comma-separated label filter")
     mine.add_argument("--state", default="closed", help="issue state filter")
     mine.add_argument("--until", help="only issues created before this ISO timestamp")
-    mine.add_argument("--page-size", dest="page_size", type=int, default=100)
+    mine.add_argument("--page-size", type=int, default=100)
     mine.set_defaults(func=cmd_mine)
 
     augment = sub.add_parser("augment", help="export an augmented training corpus")
     augment.add_argument("--corpus", required=True)
     augment.add_argument("--out", required=True)
-    augment.add_argument("--target-size", dest="target_size", type=int, default=100)
-    augment.add_argument("--delete-prob", dest="delete_prob", type=float, default=0.2)
-    augment.add_argument("--seed", type=int, default=0)
+    augment.add_argument("--target-size", type=int, default=AugmentConfig.target_size)
+    augment.add_argument("--delete-prob", type=float, default=AugmentConfig.delete_prob)
+    augment.add_argument("--seed", type=int, default=AugmentConfig.seed)
     augment.set_defaults(func=cmd_augment)
 
-    spe = sub.add_parser("spe", help="variable-permutation baseline generator")
+    spe = sub.add_parser(
+        "spe", parents=[target], help="variable-permutation baseline generator"
+    )
     spe.add_argument("--corpus", required=True)
     spe.add_argument("--out", required=True)
     spe.add_argument("--threshold", type=int, default=ENUMERATION_THRESHOLD)
-    spe.add_argument("--sample-size", dest="sample_size", type=int, default=SAMPLE_SIZE)
+    spe.add_argument("--sample-size", type=int, default=SAMPLE_SIZE)
     spe.add_argument("--seed", type=int, default=0)
-    spe.add_argument("--compiler", help="also compile and triage the output")
-    spe.add_argument(
-        "--compiler-kind",
-        dest="compiler_kind",
-        choices=COMPILER_KINDS,
-        default="rustc",
-    )
-    spe.add_argument("--flags")
-    spe.add_argument("--timeout", type=float, default=180.0)
     spe.set_defaults(func=cmd_spe)
 
     spans = sub.add_parser("spans", help="dump the bracket span tree of a file")
@@ -442,39 +409,36 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--sentinel", default=DEFAULT_SENTINEL)
     mask.set_defaults(func=cmd_mask)
 
-    cls = sub.add_parser("classify", help="triage a captured compiler run")
+    cls = sub.add_parser(
+        "classify", parents=[kind], help="triage a captured compiler run"
+    )
     cls.add_argument("--stderr", help="file holding the captured stderr")
     cls.add_argument("--stdout", help="file holding the captured stdout")
-    cls.add_argument("--exit-status", dest="exit_status", type=int, default=1)
-    cls.add_argument("--timed-out", dest="timed_out", action="store_true")
-    cls.add_argument(
-        "--compiler-kind",
-        dest="compiler_kind",
-        choices=COMPILER_KINDS,
-        default="rustc",
-    )
+    cls.add_argument("--exit-status", type=int, default=1)
+    cls.add_argument("--timed-out", action="store_true")
     cls.set_defaults(func=cmd_classify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; every exit code is decided here."""
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "fuzz" and args.config:
+            config = _read_json_object(args.config, "config file")
+            args = build_parser(config).parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (HarnessError, CorpusError, MiningError) as exc:
+    except (HarnessError, CorpusError, MiningError, BugStoreError, OSError) as exc:
+        # before a run starts; fuzz and spe end a run cut short themselves
         print(f"environment error: {exc}", file=sys.stderr)
         return 2
-    except CampaignAbortedError as exc:
-        print(f"campaign aborted: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

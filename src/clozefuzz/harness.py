@@ -3,10 +3,12 @@
 Runs a compiler on candidate programs, with a hard wall-clock limit,
 process-group cleanup, and capped output capture. Each thread that
 compiles keeps one scratch directory for its lifetime, emptied after
-every compile, instead of making and removing one per compile. A
-compile ends when its compiler does: its process group is killed then,
-so neither a straggler in the group nor a process that escaped it can
-hold the compile open through the pipes. The cap holds while the
+every compile, instead of making and removing one per compile. Its
+name holds the pid of its process, so that a later process can remove
+it once that one has been killed. A compile ends when its compiler
+does: its process group is killed then, so neither a straggler in the
+group nor a process that escaped it can hold the compile open through
+the pipes. The cap holds while the
 output is read: past ``STREAM_CAP`` bytes a stream is read on and
 thrown away, so a compiler that prints gigabytes costs no memory.
 Output printed before a timeout is kept, so ``time_passes`` can locate
@@ -30,6 +32,7 @@ point. Every other target runs as given.
 from __future__ import annotations
 
 import os
+import re
 import selectors
 import shutil
 import signal
@@ -298,8 +301,37 @@ class _Scratch:
     exit."""
 
     def __init__(self) -> None:
-        self.path = tempfile.mkdtemp(prefix="clozefuzz-")
+        _sweep_stale_scratch()
+        self.path = tempfile.mkdtemp(prefix=f"clozefuzz-{os.getpid()}-")
         weakref.finalize(self, shutil.rmtree, self.path, ignore_errors=True)
+
+
+_SCRATCH_NAME = re.compile(r"clozefuzz-(\d{1,9})-")  # nine digits fit any pid_t
+_swept = threading.Lock()  # taken by this process's first sweep, never released
+
+
+def _sweep_stale_scratch() -> None:
+    """Once per process, remove each ``clozefuzz-<pid>-*`` directory under
+    the temp root that this user owns and whose process is gone."""
+    if not _swept.acquire(blocking=False):
+        return
+    try:
+        with os.scandir(tempfile.gettempdir()) as listing:
+            entries = list(listing)
+    except OSError:
+        return
+    for entry in entries:
+        match = _SCRATCH_NAME.match(entry.name)
+        if not match:  # this process's own pid is alive, so never swept
+            continue
+        try:
+            st = entry.stat(follow_symlinks=False)
+            if entry.is_dir(follow_symlinks=False) and st.st_uid == os.getuid():
+                os.kill(int(match[1]), 0)  # signal 0 only asks if the pid exists
+        except ProcessLookupError:
+            shutil.rmtree(entry.path, ignore_errors=True)
+        except OSError:
+            pass  # gone meanwhile, or the pid names another user's process
 
 
 # each thread's _Scratch, made on its first compile

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import clozefuzz
 from clozefuzz import campaign, cli
 from clozefuzz.cli import main
 from clozefuzz.corpus import Corpus
+from clozefuzz.oracle import BugStore, BugStoreError
 
 SEED_MAIN = "fn main() { helper(1); }\n"
 SEED_HELPER = "fn helper(n: u32) { let x = n; }\n"
@@ -644,3 +646,259 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     assert "fuzz" in proc.stdout
     assert "mine" in proc.stdout
+
+
+def _refuse_to_record(self, sig, case_text):
+    raise BugStoreError("bug store write failed: [Errno 28] No space left on device")
+
+
+def _tree(root):
+    return sorted(
+        (str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+        for p in root.rglob("*")
+    )
+
+
+# (command line, exit code, the one line on stderr starts with, check).
+# Each command line is built from the ``probe`` fixture's paths; each
+# check looks at what the run left behind.
+EXIT_TABLE = {
+    "fuzz --out is a file": (
+        lambda p: fuzz_args(
+            p.corpus, p.trigger, p.mock, p.file, "--budget-candidates", "2"
+        ),
+        2,
+        "environment error: ",
+        lambda p: p.file.is_file(),
+    ),
+    "spe --out is a file": (
+        lambda p: spe_args(p.corpus, p.file),
+        2,
+        "environment error: ",
+        lambda p: p.file.is_file(),
+    ),
+    "augment --out is a file": (
+        lambda p: ["augment", "--corpus", str(p.corpus), "--out", str(p.file)],
+        2,
+        "environment error: ",
+        lambda p: p.file.is_file(),
+    ),
+    "mine --corpus is a file": (
+        lambda p: ["mine", "--corpus", str(p.file), "--fixture-dir", str(p.issues)],
+        2,
+        "environment error: ",
+        lambda p: p.file.is_file(),
+    ),
+    "fuzz bugstore is a file": (
+        lambda p: fuzz_args(
+            p.corpus, p.trigger, p.mock, p.blocked, "--budget-candidates", "2"
+        ),
+        2,
+        "environment error: cannot create bug store",
+        lambda p: not (p.blocked / "report.json").exists(),
+    ),
+    "spe bugstore is a file": (
+        lambda p: spe_args(
+            p.corpus, p.blocked,
+            "--compiler", p.trigger, "--compiler-kind", "scripted-fake",
+        ),
+        2,
+        "environment error: cannot create bug store",
+        lambda p: not (p.blocked / "candidates").exists(),
+    ),
+    "spe store fails mid-run": (
+        lambda p: spe_args(
+            p.corpus, p.out,
+            "--compiler", p.ice, "--compiler-kind", "scripted-fake",
+        ),
+        3,
+        "spe aborted: cannot write findings: bug store write failed",
+        lambda p: (
+            json.loads((p.out / "report.json").read_text())["ice"] == 1
+            and "ice: 1" in (p.out / "report.txt").read_text()
+        ),
+    ),
+    "mine into a plain seed directory": (
+        lambda p: ["mine", "--corpus", str(p.corpus), "--fixture-dir", str(p.issues)],
+        1,
+        "error: ",
+        lambda p: _tree(p.corpus) == p.corpus_before,
+    ),
+}
+
+
+class TestExitTable:
+    @pytest.fixture
+    def probe(self, tmp_path, corpus_dir, trigger_bin, mock_script, scripted):
+        (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "bugstore").write_text("not a directory\n", encoding="utf-8")
+        issues = tmp_path / "issues"
+        issues.mkdir()
+        return argparse.Namespace(
+            corpus=corpus_dir,
+            corpus_before=_tree(corpus_dir),
+            trigger=str(trigger_bin),
+            ice=scripted("ice", ICE_BODY),
+            mock=mock_script,
+            file=tmp_path / "file",
+            blocked=blocked,
+            issues=issues,
+            out=tmp_path / "out",
+        )
+
+    @pytest.mark.parametrize("case", sorted(EXIT_TABLE))
+    def test_exit_code_and_one_line_on_stderr(self, case, probe, capsys, monkeypatch):
+        build, code, prefix, check = EXIT_TABLE[case]
+        monkeypatch.setattr(BugStore, "record_if_new", _refuse_to_record)
+        assert main(build(probe)) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        assert check(probe)
+
+    def test_mine_refuses_seeds_in_a_subdirectory_too(
+        self, tmp_path, capsys
+    ):
+        seeds = tmp_path / "seeds"
+        (seeds / "nested").mkdir(parents=True)
+        (seeds / "nested" / "user.rs").write_text(SEED_MAIN, encoding="utf-8")
+        argv = ["mine", "--corpus", str(seeds), "--fixture-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "no manifest.jsonl" in capsys.readouterr().err
+        assert not (seeds / "manifest.jsonl").exists()
+
+
+class TestConfigFile:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The CampaignConfig each fuzz run is given; no campaign runs."""
+        configs = []
+
+        def fake_run(cfg):
+            configs.append(cfg)
+            return campaign.CampaignReport(
+                seed=cfg.seed, corpus_dir="", compilers=[], backend_id="", budgets={}
+            )
+
+        monkeypatch.setattr(cli, "run_campaign", fake_run)
+        return configs
+
+    def run_with(self, tmp_path, corpus_dir, trigger_bin, mock_script, **values):
+        config = tmp_path / "campaign.json"
+        base = {
+            "corpus": str(corpus_dir),
+            "out": str(tmp_path / "out"),
+            "compiler": str(trigger_bin),
+            "compiler_kind": "scripted-fake",
+            "mock_script": str(mock_script),
+            "budget_candidates": 2,
+        }
+        config.write_text(json.dumps({**base, **values}), encoding="utf-8")
+        return main(["fuzz", "--config", str(config)])
+
+    def test_string_values_are_converted_as_flags_are(
+        self, tmp_path, corpus_dir, trigger_bin, mock_script, captured
+    ):
+        rc = self.run_with(
+            tmp_path, corpus_dir, trigger_bin, mock_script,
+            workers="2", seed="9", timeout="5", budget_seconds="1.5",
+            time_max="3", base_temperature="0.5", flags="-O0 -g",
+            max_fill_tokens="7",
+        )
+        assert rc == 0
+        (cfg,) = captured
+        assert (cfg.workers, cfg.seed, cfg.budget_seconds) == (2, 9, 1.5)
+        target = cfg.compilers[0]
+        assert (target.timeout_secs, target.extra_flags) == (5.0, ("-O0", "-g"))
+        assert (cfg.infill.time_max, cfg.infill.base_temperature) == (3, 0.5)
+        assert cfg.infill.max_fill_tokens == 7
+
+    def test_numbers_are_converted_and_checked_as_flags_are(
+        self, tmp_path, corpus_dir, trigger_bin, mock_script, captured, capsys
+    ):
+        rc = self.run_with(
+            tmp_path, corpus_dir, trigger_bin, mock_script,
+            timeout=5, workers=2, budget_seconds=None,
+        )
+        assert rc == 0
+        (cfg,) = captured
+        assert (cfg.workers, cfg.budget_seconds) == (2, None)
+        assert repr(cfg.compilers[0].timeout_secs) == "5.0"
+        with pytest.raises(SystemExit) as exc_info:
+            self.run_with(tmp_path, corpus_dir, trigger_bin, mock_script, time_max=2.5)
+        assert exc_info.value.code == 2
+        assert "--time-max: invalid int value: '2.5'" in capsys.readouterr().err
+        assert len(captured) == 1
+
+    def test_max_fill_tokens_comes_from_the_file(
+        self, tmp_path, corpus_dir, trigger_bin, mock_script, captured
+    ):
+        assert self.run_with(tmp_path, corpus_dir, trigger_bin, mock_script) == 0
+        assert self.run_with(
+            tmp_path, corpus_dir, trigger_bin, mock_script, max_fill_tokens=12
+        ) == 0
+        assert [cfg.infill.max_fill_tokens for cfg in captured] == [256, 12]
+
+    def test_keys_that_name_no_fuzz_option_are_ignored(
+        self, tmp_path, corpus_dir, trigger_bin, mock_script, captured
+    ):
+        rc = self.run_with(
+            tmp_path, corpus_dir, trigger_bin, mock_script,
+            func="cmd_spe", command="spe", threshold=1, target_size=3,
+            compiler_kind_typo="rustc",
+        )
+        assert rc == 0
+        (cfg,) = captured
+        assert cfg.compilers[0].kind == "scripted-fake"
+
+
+# every option of every subcommand, as the parser had them when the
+# front end was rewritten; positionals by name
+OPTIONS = {
+    "fuzz": [
+        "--backend-url", "--base-temperature", "--budget-candidates",
+        "--budget-seconds", "--compiler", "--compiler-kind", "--config",
+        "--corpus", "--flags", "--help", "--mock-script", "--out", "--seed",
+        "--sentinel", "--skip-preflight", "--time-max", "--timeout", "--workers",
+        "-h",
+    ],
+    "mine": [
+        "--corpus", "--fixture-dir", "--help", "--labels", "--page-size",
+        "--repo", "--state", "--until", "-h",
+    ],
+    "augment": [
+        "--corpus", "--delete-prob", "--help", "--out", "--seed", "--target-size",
+        "-h",
+    ],
+    "spe": [
+        "--compiler", "--compiler-kind", "--corpus", "--flags", "--help", "--out",
+        "--sample-size", "--seed", "--threshold", "--timeout", "-h",
+    ],
+    "spans": ["--help", "-h", "file"],
+    "mask": ["--help", "--render", "--sentinel", "-h", "file"],
+    "classify": [
+        "--compiler-kind", "--exit-status", "--help", "--stderr", "--stdout",
+        "--timed-out", "-h",
+    ],
+}
+
+
+def test_no_option_is_added_or_lost():
+    parser = cli.build_parser()
+    (subcommands,) = [
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    found = {
+        name: sorted(s for a in sub._actions for s in a.option_strings or [a.dest])
+        for name, sub in subcommands.items()
+    }
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_every_subcommand_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: clozefuzz {command} ")

@@ -10,6 +10,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -556,3 +557,71 @@ def test_live_rustup_proxy_runs_the_toolchain_rustc():
         os.path.join(sysroot, "bin", "rustc"),
         "-C", "opt-level=0", "--emit=obj", "input.rs",
     ]
+
+
+# compiles once and prints its scratch directory; then, with "hold",
+# keeps it until its stdin closes
+SCRATCH_CHILD = """
+import sys
+from clozefuzz.harness import CompilerConfig, compile_program
+cfg = CompilerConfig(binary_path=sys.argv[1], kind="scripted-fake")
+print(compile_program("fn main() {}", cfg).stdout.strip(), flush=True)
+if sys.argv[2] == "hold":
+    sys.stdin.read()
+"""
+
+
+def test_the_first_compile_sweeps_what_killed_processes_left(scripted, tmp_path):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    compiler = scripted("pwd", "pwd\nexit 0\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "TMPDIR": str(tmp), "PYTHONPATH": src}
+
+    def start(mode):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SCRATCH_CHILD, compiler, mode],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        return proc, proc.stdout.readline().strip()
+
+    live, live_dir = start("hold")
+    killed, killed_dir = start("hold")
+    try:
+        killed.kill()
+        killed.wait(timeout=30)
+        killed.stdin.close()
+        killed.stdout.close()
+        assert os.path.basename(killed_dir).startswith(f"clozefuzz-{killed.pid}-")
+        assert os.path.isdir(killed_dir)
+        # named like a dead process's directory, but not a real directory
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep").write_text("keep me\n")
+        link = tmp / f"clozefuzz-{killed.pid}-link"
+        link.symlink_to(outside)
+        plain = tmp / f"clozefuzz-{killed.pid}-file"
+        plain.write_text("keep me\n")
+
+        done = subprocess.run(
+            [sys.executable, "-c", SCRATCH_CHILD, compiler, "exit"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        own_dir = done.stdout.strip()
+        assert not os.path.exists(killed_dir)
+        assert os.path.isdir(live_dir)
+        assert link.is_symlink() and (outside / "keep").is_file()
+        assert plain.read_text() == "keep me\n"
+        assert not os.path.exists(own_dir)
+    finally:
+        live.stdin.close()
+        live.wait(timeout=30)
+        live.stdout.close()
+    assert sorted(p.name for p in tmp.iterdir()) == sorted([link.name, plain.name])
