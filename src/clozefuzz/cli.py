@@ -5,9 +5,10 @@ augment (training-set export), spe (variable-permutation baseline),
 spans and mask (debug views of bracket extraction), classify (offline
 triage of a captured compiler run).
 
-Exit codes, all set in ``main``: 0 success, 1 configuration error, 2
-environment error before a run starts (missing binary, unreadable corpus,
-unwritable output directory or bug store), 3 fuzz or spe run cut short.
+Exit codes: 0 success, 1 configuration error, 2 environment error
+before a run starts (missing binary, unreadable corpus, unwritable
+output directory or bug store), 3 fuzz or spe run cut short. ``main``
+sets each, except a usage error's 1, which ``_Parser`` exits with.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shlex
 import sys
 from datetime import datetime
 from pathlib import Path
+from typing import NoReturn
 
 from .augment import AugmentConfig, export_finetune_corpus
 from .brackets import find_bracket_pairs
@@ -304,11 +306,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, such as an option value its type
+    refuses, exit 1: they are configuration errors. Subcommand parsers
+    are made of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The parser, which holds every default. A config file's values
     (``config``) override the defaults of fuzz's options and the file-only
     ``max_fill_tokens``, converted as flags are; other keys are ignored."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clozefuzz",
         description="Mutate bracket interiors of seed programs, refill them "
         "with a completion backend, and hunt for compiler crashes and hangs.",
@@ -422,7 +434,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; every exit code is decided here."""
+    """Run one subcommand; every exit code but a usage error's is
+    decided here."""
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )

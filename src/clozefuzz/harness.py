@@ -8,7 +8,11 @@ name holds the pid of its process, so that a later process can remove
 it once that one has been killed. A compile ends when its compiler
 does: its process group is killed then, so neither a straggler in the
 group nor a process that escaped it can hold the compile open through
-the pipes. The cap holds while the
+the pipes. While the compiler runs, the compiling thread waits for its
+exit alone and empties the pipes once a beat, so a compile that prints
+a few KB wakes it once, not once per write; each pipe is enlarged to
+hold ``STREAM_CAP`` bytes where the kernel allows, and a pipe found
+full is read as soon as it is readable. The cap holds while the
 output is read: past ``STREAM_CAP`` bytes a stream is read on and
 thrown away, so a compiler that prints gigabytes costs no memory.
 Output printed before a timeout is kept, so ``time_passes`` can locate
@@ -21,19 +25,20 @@ stop them all at once when a campaign ends with compiles in flight.
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
 
-Each target's command is resolved once (``ensure_compiler``). A rustc
-target that is rustup's proxy is replaced there by its toolchain's own
-rustc, found with one ``--print sysroot`` probe, because the proxy
-re-reads rustup's settings on every run before it starts that same
-binary; a leading ``+toolchain`` flag picks the toolchain at that
-point. Every other target runs as given.
+Each target's command is resolved, and its environment read, once
+(``ensure_compiler``). A rustc target that is rustup's proxy is
+replaced there by its toolchain's own rustc, found with one ``--print
+sysroot`` probe, because the proxy re-reads rustup's settings on every
+run before it starts that same binary; a leading ``+toolchain`` flag
+picks the toolchain at that point. Every other target runs as given.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
-import selectors
+import select
 import shutil
 import signal
 import subprocess
@@ -41,7 +46,7 @@ import tempfile
 import threading
 import time
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +67,7 @@ DEFAULT_FLAGS: dict[str, tuple[str, ...]] = {
 
 STREAM_CAP = 1 << 20  # bytes kept per stream
 _READ_SIZE = 1 << 15  # bytes read from a pipe at a time, as subprocess reads
+_BEAT = 0.1  # seconds a running compiler's output may wait to be read
 TRUNCATION_MARKER = "\n...[output truncated]"
 
 ENV_ALLOWLIST = (
@@ -98,8 +104,12 @@ class CompilerConfig:
     kind: str = "rustc"
     extra_flags: tuple[str, ...] | None = None
     timeout_secs: float = 180.0
-    # the argv before the input file, set by ensure_compiler on first use
+    # the argv before the input file and the compiler's environment,
+    # both set by ensure_compiler on first use
     _argv: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _env: dict[str, str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -151,16 +161,21 @@ def ensure_compiler(cfg: CompilerConfig) -> tuple[str, ...]:
     resolves to its toolchain's rustc, without a leading ``+toolchain``
     flag. The result is cached on ``cfg``, so a campaign, its preflight
     and every pool thread share one resolution and one probe; two
-    threads racing on first use compute the same value.
+    threads racing on first use compute the same value. The compiler's
+    environment is read from ``os.environ`` at the same point, once,
+    and cached with it.
     """
     argv = cfg._argv
     if argv is None:
         binary = cfg.resolved_binary()
         if not os.access(binary, os.X_OK):
             raise HarnessError(f"compiler binary not executable: {binary}")
+        env = _subprocess_env()
         direct = None
         if cfg.kind == "rustc" and _is_rustup_proxy(binary):
-            direct = _toolchain_argv(binary, cfg)
+            direct = _toolchain_argv(binary, cfg, env)
+        # the environment first: a thread that sees the argv uses both
+        cfg._env = env
         argv = cfg._argv = direct or (binary, *cfg.extra_flags)
     return argv
 
@@ -174,7 +189,9 @@ def _is_rustup_proxy(binary: str) -> bool:
         return False
 
 
-def _toolchain_argv(proxy: str, cfg: CompilerConfig) -> tuple[str, ...] | None:
+def _toolchain_argv(
+    proxy: str, cfg: CompilerConfig, env: dict[str, str]
+) -> tuple[str, ...] | None:
     """The argv that runs the toolchain rustc behind a rustup proxy
     directly, or None when the proxy cannot name one.
 
@@ -187,7 +204,7 @@ def _toolchain_argv(proxy: str, cfg: CompilerConfig) -> tuple[str, ...] | None:
         done = subprocess.run(
             [proxy, *plus, "--print", "sysroot"],
             cwd=tempfile.gettempdir(),
-            env=_subprocess_env(),
+            env=env,
             capture_output=True,
             timeout=cfg.timeout_secs,
         )
@@ -221,14 +238,34 @@ def _cap_stream(data: bytes) -> str:
     return data[:cut].decode("utf-8", errors="replace") + TRUNCATION_MARKER
 
 
-def _read(fd: int, kept: bytearray) -> bool:
-    """Read one chunk of ``fd``, keep what fits under the cap in
-    ``kept``, and say whether the stream goes on."""
-    chunk = os.read(fd, _READ_SIZE)
-    room = STREAM_CAP + 1 - len(kept)
-    if room > 0:
-        kept += chunk[:room]
-    return bool(chunk)
+def _widen(fd: int) -> int:
+    """Make reading the pipe ``fd`` non-blocking, enlarge the pipe to
+    ``STREAM_CAP`` where the kernel allows, and return its size."""
+    os.set_blocking(fd, False)
+    try:
+        return fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, STREAM_CAP)
+    except OSError:
+        # above pipe-max-size, or past the user's quota of pipe pages
+        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+
+
+def _drain(fd: int, kept: bytearray, limit: int) -> int | None:
+    """Read what ``fd`` holds, without blocking, until it is empty or
+    ``limit`` bytes were read, and keep what fits under the cap in
+    ``kept``. Returns the bytes read, or None at end of stream."""
+    got = 0
+    while got < limit:
+        try:
+            chunk = os.read(fd, _READ_SIZE)
+        except BlockingIOError:
+            break
+        if not chunk:
+            return None
+        got += len(chunk)
+        room = STREAM_CAP + 1 - len(kept)
+        if room > 0:
+            kept += chunk[:room]
+    return got
 
 
 def _communicate(
@@ -238,48 +275,53 @@ def _communicate(
     + 1 bytes of each stream, enough for ``_cap_stream`` to see the
     cut, and throws the rest away as it arrives.
 
-    Both pipes are read while the compiler runs, so one that prints a
-    lot never blocks on a full pipe and ends with its own exit status.
-    On timeout its process group is killed. Once the compiler has
-    exited, its group is killed and what the pipes already hold is
-    kept: a process that left the group may hold them open forever, and
-    is not waited for. Returns ``(stdout, stderr, timed out)``.
+    While the compiler runs, only its exit is waited for, a beat
+    (``_BEAT``) at a time, so a compile that prints a little wakes this
+    thread once, when it exits, not once per write. Each pipe is
+    enlarged to ``STREAM_CAP`` where the kernel allows, and emptied
+    without blocking at every beat. A pipe found full is then read as
+    soon as it is readable, so a loud compiler waits at most one beat
+    on a full pipe and ends with its own exit status. On timeout its
+    process group is killed. Once the compiler has exited, its group is
+    killed and what the pipes already hold is read, up to the cap: a
+    process that left the group may hold them open and write forever,
+    and is not waited for. Returns ``(stdout, stderr, timed out)``.
     """
     deadline = time.monotonic() + timeout
     out, err = bytearray(), bytearray()
     kept = {proc.stdout.fileno(): out, proc.stderr.fileno(): err}
-    timed_out = exited = False
+    # each pipe not at end of stream, and the most one drain reads of it
+    open_pipes = {fd: _widen(fd) for fd in kept}
+    timed_out = False
+    # poll, not epoll, which makes and closes a kernel object per compile
+    poller = select.poll()
     # readable once the compiler has exited, and still unreaped
     pidfd = os.pidfd_open(proc.pid)
     try:
-        # poll, as subprocess uses: for three descriptors it costs fewer
-        # system calls than epoll, which makes and closes a kernel
-        # object per compile
-        with selectors.PollSelector() as selector:
-            for fd in kept:
-                selector.register(fd, selectors.EVENT_READ)
-            selector.register(pidfd, selectors.EVENT_READ)
-            while not exited:
-                left = deadline - time.monotonic()
-                if left <= 0 and not timed_out:
-                    timed_out = True
-                    _kill_process_group(proc)
-                for key, _ in selector.select(None if timed_out else left):
-                    if key.fd == pidfd:
-                        exited = True
-                    elif not _read(key.fd, kept[key.fd]):
-                        selector.unregister(key.fd)
-            # unreaped, the compiler still holds its group id, so the
-            # kill cannot reach a group that reused it
-            _kill_process_group(proc)
-            selector.unregister(pidfd)
-            # read what is already there, and stop at the cap: past it
-            # nothing is kept, and no writer is left to unblock
-            while ready := selector.select(0):
-                for key, _ in ready:
-                    buf = kept[key.fd]
-                    if not _read(key.fd, buf) or len(buf) > STREAM_CAP:
-                        selector.unregister(key.fd)
+        poller.register(pidfd, select.POLLIN)
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0 and not timed_out:
+                timed_out = True
+                _kill_process_group(proc)
+            wait = None if timed_out else min(left, _BEAT) * 1000
+            if any(fd == pidfd for fd, _ in poller.poll(wait)):
+                break
+            for fd, limit in list(open_pipes.items()):
+                got = _drain(fd, kept[fd], limit)
+                if got is None:
+                    del open_pipes[fd]
+                    with suppress(KeyError):  # watched only once found full
+                        poller.unregister(fd)
+                elif got >= limit:
+                    poller.register(fd, select.POLLIN)  # again is a no-op
+        # unreaped, the compiler still holds its group id, so the kill
+        # cannot reach a group that reused it
+        _kill_process_group(proc)
+        # read what is already there, and stop at the cap: past it
+        # nothing is kept, and no writer is left to unblock
+        for fd in open_pipes:
+            _drain(fd, kept[fd], STREAM_CAP + 1 - len(kept[fd]))
     finally:
         os.close(pidfd)
     proc.wait()
@@ -431,7 +473,7 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
             proc = subprocess.Popen(
                 cmd,
                 cwd=workdir,
-                env=_subprocess_env(),
+                env=cfg._env,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 start_new_session=True,

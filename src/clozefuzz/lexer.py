@@ -120,6 +120,9 @@ _TOKEN = re.compile("|".join(f"(?P<{name}>{rule})" for name, rule in _RULES))
 _COMMENT_DELIMITER = re.compile(r"/\*|\*/")
 # row name -> kind; WORD is missing, it depends on the text
 _KIND = dict(TokenKind.__members__, BLOCK_COMMENT=TokenKind.COMMENT)
+# looking a member up on an Enum class per token costs more than the
+# test it feeds, so the per-token filters below compare these
+_WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
 
 
 def lex(source: str) -> LexResult:
@@ -149,11 +152,9 @@ def lex(source: str) -> LexResult:
 def significant_tokens(tokens: list[Token]) -> list[Token]:
     """Tokens that matter for structure: everything except whitespace
     and comments."""
-    return [
-        t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
-    ]
+    return [t for t in tokens if t.kind is not _WHITESPACE and t.kind is not _COMMENT]
 
 
 def count_nonspace_tokens(source: str) -> int:
     """Number of tokens excluding whitespace runs. Comments count."""
-    return sum(1 for t in lex(source).tokens if t.kind is not TokenKind.WHITESPACE)
+    return sum(1 for t in lex(source).tokens if t.kind is not _WHITESPACE)

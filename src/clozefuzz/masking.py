@@ -23,6 +23,12 @@ from dataclasses import dataclass
 from .brackets import BracketKind, BracketSpan, find_spans
 from .lexer import Token, TokenKind, lex, significant_tokens
 
+# compared per token and per span: a member looked up on its Enum class
+# each time costs more than the comparison
+_PUNCT, _IDENTIFIER = TokenKind.PUNCT, TokenKind.IDENTIFIER
+_OPEN = TokenKind.OPEN_BRACKET
+_SQUARE = BracketKind.SQUARE
+
 
 @dataclass(frozen=True)
 class MaskedVariant:
@@ -56,7 +62,7 @@ def _attribute_ranges(
     half-open.
     """
     square_close = {
-        s.open_at: s.close_at for s in spans if s.kind is BracketKind.SQUARE
+        s.open_at: s.close_at for s in spans if s.kind is _SQUARE
     }
 
     def tok(i: int, kind: TokenKind, text: str) -> bool:
@@ -64,16 +70,16 @@ def _attribute_ranges(
 
     ranges: list[tuple[int, int]] = []
     for i, t in enumerate(sig):
-        if not (t.kind is TokenKind.PUNCT and t.text == "#"):
+        if not (t.kind is _PUNCT and t.text == "#"):
             continue
         j = i + 1
-        if tok(j, TokenKind.PUNCT, "!"):
+        if tok(j, _PUNCT, "!"):
             j += 1
-        if not tok(j, TokenKind.OPEN_BRACKET, "["):
+        if not tok(j, _OPEN, "["):
             continue
-        if not tok(j + 1, TokenKind.IDENTIFIER, "feature"):
+        if not tok(j + 1, _IDENTIFIER, "feature"):
             continue
-        if not tok(j + 2, TokenKind.OPEN_BRACKET, "("):
+        if not tok(j + 2, _OPEN, "("):
             continue
         close_at = square_close.get(sig[j].start)
         if close_at is None:

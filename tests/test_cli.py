@@ -827,7 +827,7 @@ class TestConfigFile:
         assert repr(cfg.compilers[0].timeout_secs) == "5.0"
         with pytest.raises(SystemExit) as exc_info:
             self.run_with(tmp_path, corpus_dir, trigger_bin, mock_script, time_max=2.5)
-        assert exc_info.value.code == 2
+        assert exc_info.value.code == 1
         assert "--time-max: invalid int value: '2.5'" in capsys.readouterr().err
         assert len(captured) == 1
 
@@ -902,3 +902,19 @@ def test_every_subcommand_prints_its_help(command, capsys):
         main([command, "--help"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: clozefuzz {command} ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fuzz", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
+        (["spans"], "the following arguments are required: file"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_configuration_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: clozefuzz") and message in err

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -359,6 +361,126 @@ def test_output_is_capped_while_it_is_read(scripted):
     assert noisy["rss_kb"] - quiet["rss_kb"] < 10 * 1024
 
 
+@pytest.fixture
+def poll_calls(monkeypatch):
+    """The timeout of every ``poll`` call made on a ``select.poll``
+    object, in order."""
+    calls = []
+    real_poll = select.poll
+
+    class CountedPoll:
+        def __init__(self):
+            self._poller = real_poll()
+            self.register = self._poller.register
+            self.unregister = self._poller.unregister
+
+        def poll(self, timeout=None):
+            calls.append(timeout)
+            return self._poller.poll(timeout)
+
+    monkeypatch.setattr(select, "poll", CountedPoll)
+    return calls
+
+
+def test_a_compile_that_prints_a_little_wakes_only_at_its_exit(scripted, poll_calls):
+    # 200 writes, as rustc prints a few KB of warnings in many: the
+    # compiling thread waits for the exit, not for each write
+    body = """
+    i=0
+    while [ $i -lt 200 ]; do echo "warning: unused parens $i" >&2; i=$((i + 1)); done
+    exit 0
+    """
+    outcome = compile_program("fn main() {}", fake_cfg(scripted("chatty", body)))
+    assert outcome.exit_status == 0
+    lines = [f"warning: unused parens {i}\n" for i in range(200)]
+    assert outcome.stderr == "".join(lines)
+    assert 1 <= len(poll_calls) <= 2
+
+
+@pytest.mark.parametrize("widened", [True, False], ids=["widened", "default-size"])
+def test_a_loud_compiler_is_read_eagerly_once_a_pipe_fills(
+    scripted, monkeypatch, widened
+):
+    if not widened:
+        real_fcntl = fcntl.fcntl
+
+        def refuse_to_widen(fd, cmd, arg=0):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                raise PermissionError("pipe quota reached")
+            return real_fcntl(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refuse_to_widen)
+    # four times what a widened pipe holds: read only once a beat, it
+    # would block the compiler for beats on end
+    body = """
+    head -c 4194304 /dev/zero | tr '\\0' 'w' >&2
+    sleep 0.5
+    exit 0
+    """
+    cfg = fake_cfg(scripted("loud", body), timeout_secs=5.0)
+    outcome = compile_program("fn main() {}", cfg)
+    assert not outcome.timed_out
+    assert classify(outcome, "scripted-fake") is BugKind.PASS
+    assert outcome.stderr == "w" * STREAM_CAP + TRUNCATION_MARKER
+    assert outcome.wall_time < 2.5
+
+
+def test_a_pipe_that_ends_while_the_compiler_runs_is_no_longer_watched(scripted):
+    # stderr is found full, then closed while the compiler sleeps on: a
+    # pipe still watched at its end would wake every poll at once
+    body = """
+    head -c 4194304 /dev/zero | tr '\\0' 'w' >&2
+    exec 2>&-
+    sleep 0.5
+    exit 0
+    """
+    cfg = fake_cfg(scripted("closes", body), timeout_secs=5.0)
+    cpu = time.thread_time()
+    outcome = compile_program("fn main() {}", cfg)
+    cpu = time.thread_time() - cpu
+    assert outcome.exit_status == 0
+    assert outcome.stderr == "w" * STREAM_CAP + TRUNCATION_MARKER
+    assert cpu < 0.2
+
+
+def test_an_escapee_writing_forever_does_not_hold_the_compile(
+    scripted, tmp_path, monkeypatch
+):
+    # one byte a read under a 64 KiB cap, which is also the pipes' size:
+    # the escapee refills the pipe faster than it is read, so the last
+    # drain would go on for as long as the escapee writes, but for the cap
+    monkeypatch.setattr(harness, "_READ_SIZE", 1)
+    monkeypatch.setattr(harness, "STREAM_CAP", 1 << 16)
+    pidfile = tmp_path / "pid"
+    body = (
+        f"setsid sh -c 'echo $$ > \"{pidfile}\"; exec yes escaped' >&2 &\n"
+        f'until [ -s "{pidfile}" ]; do sleep 0.01; done\n'
+        "exit 0\n"
+    )
+    cfg = fake_cfg(scripted("spews", body), timeout_secs=5.0)
+    outcomes = []
+    worker = threading.Thread(
+        target=lambda: outcomes.append(compile_program("fn main() {}", cfg))
+    )
+    started = time.monotonic()
+    worker.start()
+    try:
+        worker.join(timeout=3.0)
+        elapsed = time.monotonic() - started
+    finally:
+        try:
+            os.killpg(_pid_from(pidfile), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert elapsed < 1.0
+    (outcome,) = outcomes
+    assert not outcome.timed_out and outcome.exit_status == 0
+    assert outcome.stderr.startswith("escaped\n")
+    assert len(outcome.stderr) <= (1 << 16) + len(TRUNCATION_MARKER)
+
+
 def test_environment_is_allowlisted(scripted, monkeypatch):
     monkeypatch.setenv("SECRET_TOKEN_FOR_TEST", "leaky")
     body = """
@@ -384,6 +506,20 @@ def test_toolchain_resolution_env_passes_through(scripted, monkeypatch):
     outcome = compile_program("fn main() {}", cfg)
     assert "rustup=[/fake/rustup]" in outcome.stdout
     assert "cargo=[/fake/cargo]" in outcome.stdout
+
+
+def test_a_targets_environment_is_read_once_at_first_use(scripted, monkeypatch):
+    body = """
+    echo "lang=[$LANG]"
+    exit 0
+    """
+    monkeypatch.setenv("LANG", "first")
+    cfg = fake_cfg(scripted("lang", body))
+    assert compile_program("fn main() {}", cfg).stdout == "lang=[first]\n"
+    monkeypatch.setenv("LANG", "second")
+    assert compile_program("fn main() {}", cfg).stdout == "lang=[first]\n"
+    later = fake_cfg(cfg.binary_path)
+    assert compile_program("fn main() {}", later).stdout == "lang=[second]\n"
 
 
 def test_time_passes_parses_entries_and_truncation(scripted):
