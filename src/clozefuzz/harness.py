@@ -10,9 +10,8 @@ does: its process group is killed then, so neither a straggler in the
 group nor a process that escaped it can hold the compile open through
 the pipes. While the compiler runs, the compiling thread waits for its
 exit alone and empties the pipes once a beat, so a compile that prints
-a few KB wakes it once, not once per write; each pipe is enlarged to
-hold ``STREAM_CAP`` bytes where the kernel allows, and a pipe found
-full is read as soon as it is readable. The cap holds while the
+a few KB wakes it once, not once per write; a pipe found full is read
+as soon as it is readable from then on. The cap holds while the
 output is read: past ``STREAM_CAP`` bytes a stream is read on and
 thrown away, so a compiler that prints gigabytes costs no memory.
 Output printed before a timeout is kept, so ``time_passes`` can locate
@@ -238,17 +237,6 @@ def _cap_stream(data: bytes) -> str:
     return data[:cut].decode("utf-8", errors="replace") + TRUNCATION_MARKER
 
 
-def _widen(fd: int) -> int:
-    """Make reading the pipe ``fd`` non-blocking, enlarge the pipe to
-    ``STREAM_CAP`` where the kernel allows, and return its size."""
-    os.set_blocking(fd, False)
-    try:
-        return fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, STREAM_CAP)
-    except OSError:
-        # above pipe-max-size, or past the user's quota of pipe pages
-        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
-
-
 def _drain(fd: int, kept: bytearray, limit: int) -> int | None:
     """Read what ``fd`` holds, without blocking, until it is empty or
     ``limit`` bytes were read, and keep what fits under the cap in
@@ -278,20 +266,24 @@ def _communicate(
     While the compiler runs, only its exit is waited for, a beat
     (``_BEAT``) at a time, so a compile that prints a little wakes this
     thread once, when it exits, not once per write. Each pipe is
-    enlarged to ``STREAM_CAP`` where the kernel allows, and emptied
-    without blocking at every beat. A pipe found full is then read as
-    soon as it is readable, so a loud compiler waits at most one beat
-    on a full pipe and ends with its own exit status. On timeout its
-    process group is killed. Once the compiler has exited, its group is
-    killed and what the pipes already hold is read, up to the cap: a
-    process that left the group may hold them open and write forever,
-    and is not waited for. Returns ``(stdout, stderr, timed out)``.
+    emptied without blocking at every beat. A pipe found full is then
+    read as soon as it is readable, so a loud compiler waits at most
+    one beat on a full pipe and ends with its own exit status. On
+    timeout its process group is killed. Once the compiler has exited,
+    its group is killed and what the pipes already hold is read, up to
+    the cap: a process that left the group may hold them open and write
+    forever, and is not waited for. Returns ``(stdout, stderr, timed
+    out)``.
     """
     deadline = time.monotonic() + timeout
     out, err = bytearray(), bytearray()
     kept = {proc.stdout.fileno(): out, proc.stderr.fileno(): err}
-    # each pipe not at end of stream, and the most one drain reads of it
-    open_pipes = {fd: _widen(fd) for fd in kept}
+    # each pipe not at end of stream, and the most one drain reads of
+    # it: the pipe's size, so a drain that reads that much found it full
+    open_pipes = {}
+    for fd in kept:
+        os.set_blocking(fd, False)
+        open_pipes[fd] = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
     timed_out = False
     # poll, not epoll, which makes and closes a kernel object per compile
     poller = select.poll()
