@@ -114,9 +114,11 @@ def _match_pairs(tokens: list[Token]) -> list[tuple[BracketKind, int, int]]:
     return pairs
 
 
-def _sorted_forest(source: str, tokens: list[Token] | None) -> list[BracketSpan]:
-    """Every span, linked into the containment forest, in (open_at,
-    -close_at) order, which is also the forest's depth-first pre-order."""
+def find_spans(source: str, tokens: list[Token] | None = None) -> list[BracketSpan]:
+    """Every span of ``find_bracket_pairs`` in depth-first pre-order,
+    which is (open_at, -close_at) order. ``tokens`` is
+    ``lex(source).tokens``, or only its significant tokens, when the
+    caller already has it."""
     if tokens is None:
         tokens = lex(source).tokens
     spans = [BracketSpan(*pair) for pair in _match_pairs(tokens)]
@@ -133,18 +135,10 @@ def _sorted_forest(source: str, tokens: list[Token] | None) -> list[BracketSpan]
     return spans
 
 
-def find_bracket_pairs(
-    source: str, tokens: list[Token] | None = None
-) -> list[BracketSpan]:
+def find_bracket_pairs(source: str) -> list[BracketSpan]:
     """All matched bracket spans of a program as a containment forest.
 
     Roots come back in textual order; each node's children are the
-    spans nested directly inside it. ``tokens`` is ``lex(source).tokens``,
-    or only its significant tokens, when the caller already has it.
+    spans nested directly inside it.
     """
-    return [s for s in _sorted_forest(source, tokens) if s.depth == 0]
-
-
-def find_spans(source: str, tokens: list[Token] | None = None) -> list[BracketSpan]:
-    """Every span of ``find_bracket_pairs`` in depth-first pre-order."""
-    return _sorted_forest(source, tokens)
+    return [s for s in find_spans(source) if s.depth == 0]

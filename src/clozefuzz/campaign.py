@@ -13,7 +13,8 @@ A campaign stops on a spent budget, a stall (seed draws give no fresh
 candidates), a vanished compiler, a failed write or Ctrl-C. Each stop
 records why in ``budget_exhausted``, ``stalled`` or ``aborted``, the
 report is saved once, and the compiles still in flight are killed and
-counted nowhere, so a time budget ends at its deadline.
+counted nowhere, so a time budget ends at its deadline. Every stop but
+Ctrl-C returns the report; Ctrl-C saves it and re-raises.
 
 ``triage`` is the one oracle path: the campaign and the ``spe``
 baseline both classify, sign and journal every compile through it.
@@ -34,6 +35,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as PoolTimeoutError
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .corpus import Corpus, CorpusError, load_corpus, preflight_filter
 from .harness import (
@@ -62,14 +64,6 @@ logger = logging.getLogger(__name__)
 
 class ConfigError(Exception):
     """Bad campaign configuration; nothing was run."""
-
-
-class CampaignAbortedError(Exception):
-    """Mid-run failure. The bug store journal survives for resumption."""
-
-    def __init__(self, message: str, partial_report: "CampaignReport | None" = None):
-        super().__init__(message)
-        self.partial_report = partial_report
 
 
 @dataclass
@@ -131,39 +125,28 @@ class CampaignReport:
         return asdict(self)
 
     def to_text(self) -> str:
-        lines = [
-            "campaign summary",
-            f"  seeds sampled:        {self.seeds_sampled}",
-            f"  variants masked:      {self.variants_masked}",
-            f"  candidates generated: {self.candidates_generated}",
-            f"  candidates compiled:  {self.candidates_compiled}",
-            f"  pass:                 {self.outcomes['pass']}",
-            f"  reject:               {self.outcomes['reject']}",
-            f"  ice:                  {self.outcomes['ice']}",
-            f"  hang:                 {self.outcomes['hang']}",
-            f"  interesting (new):    {self.interesting}",
-            f"  duplicates:           {self.duplicate}",
-            f"  infill errors:        {self.infill_errors}",
-            f"  elapsed seconds:      {self.elapsed_seconds:.2f}",
-        ]
-        if self.budget_exhausted:
-            lines.append(f"  stopped by:           {self.budget_exhausted} budget")
-        if self.stalled:
-            lines.append("  stopped by:           stall (no fresh candidates)")
-        if self.aborted:
-            lines.append(f"  aborted:              {self.aborted}")
-        for path in self.bundles:
-            lines.append(f"  bundle: {path}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, out_dir: str | Path) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        """The scalar fields and outcome tallies as ``key: value`` lines,
+        then one ``bundle:`` line per bundle."""
+        return report_text({**self.to_dict(), **self.outcomes}) + "".join(
+            f"bundle: {path}\n" for path in self.bundles
         )
-        (out / "report.txt").write_text(self.to_text(), encoding="utf-8")
+
+
+def report_text(fields: dict) -> str:
+    """A report's scalar fields as sorted ``key: value`` lines."""
+    return "".join(
+        f"{key}: {value}\n"
+        for key, value in sorted(fields.items())
+        if not isinstance(value, (dict, list))
+    )
+
+
+def save_report(out_dir: Path, fields: dict, text: str) -> None:
+    """Write a run's ``report.json`` and ``report.txt``."""
+    (out_dir / "report.json").write_text(
+        json.dumps(fields, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
 
 
 def open_corpus(path: str | Path) -> Corpus:
@@ -177,16 +160,17 @@ def open_corpus(path: str | Path) -> Corpus:
 
 def triage(
     outcome: CompileOutcome,
-    text: str,
     target: CompilerConfig,
     store: BugStore,
     outcomes: dict[str, int],
+    write_case: Callable[[BugSignature], Path],
 ) -> tuple[BugSignature, Novelty] | None:
-    """Classify one compile of ``text`` and count it in ``outcomes``.
+    """Classify one compile and count it in ``outcomes``.
 
     An ICE or a hang is signed (a hang by the pass-timing lines its
     own compile printed before the timeout) and journalled in
-    ``store``; the signature and its novelty come back.
+    ``store``, which calls ``write_case`` for a first-seen signature;
+    the signature and its novelty come back.
     A pass or a reject returns None. The outcome is counted before the
     journal write, so a failing write still leaves it counted. The
     oracle is reached through this module's names, which the campaign
@@ -198,7 +182,7 @@ def triage(
         return None
     trace = time_passes(outcome) if kind is BugKind.HANG else None
     sig = signature(outcome, kind, trace)
-    return sig, store.record_if_new(sig, text)
+    return sig, store.record_if_new(sig, write_case)
 
 
 def report_bug(
@@ -260,8 +244,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     into the corpus under fuzzer-feedback provenance. Every compile,
     preflight included, runs on one pool of ``cfg.workers`` threads
     that lives as long as the campaign, and the time budget's deadline
-    cuts preflight short too. A failed write of a finding
-    raises ``CampaignAbortedError``, after the report is saved.
+    cuts preflight short too.
     """
     started = time.monotonic()
     out_dir = Path(cfg.out_dir)
@@ -345,21 +328,25 @@ def _run(
     def commit(result: InfillResult, target: CompilerConfig, outcome) -> None:
         """Triage one compile. Runs on the campaign's thread in issue
         order, so the bug store, bundles and feedback seeds match any
-        worker count."""
-        found = triage(
-            outcome, result.candidate_text, target, store, report.outcomes
-        )
+        worker count. A new finding's bundle is written before its
+        journal line, and counts only once that line is."""
+        bundle = None
+
+        def write_case(sig: BugSignature) -> Path:
+            nonlocal bundle
+            bundle = report_bug(
+                out_dir, sig, result, outcome, target, corpus, backend.sentinel,
+            )
+            return bundle / "candidate.rs"
+
+        found = triage(outcome, target, store, report.outcomes, write_case)
         if found is None:
             return
-        sig, novelty = found
-        if novelty is Novelty.DUPLICATE:
+        if found[1] is Novelty.DUPLICATE:
             report.duplicate += 1
             return
         report.interesting += 1
         report.per_seed[result.variant.seed_id]["interesting"] += 1
-        bundle = report_bug(
-            out_dir, sig, result, outcome, target, corpus, backend.sentinel,
-        )
         report.bundles.append(str(bundle.relative_to(out_dir)))
         corpus.add_entry(result.candidate_text, "fuzzer-feedback")
 
@@ -438,12 +425,11 @@ def _run(
             report.seeds_sampled += 1
             idle = 0 if process_seed(entry) else idle + 1
     except HarnessError as exc:
-        # compiler vanished mid-run: stop gracefully, keep findings
         report.aborted = f"compiler unavailable mid-run: {exc}"
         logger.error(report.aborted)
     except (BugStoreError, OSError) as exc:
         report.aborted = f"cannot write findings: {exc}"
-        raise CampaignAbortedError(report.aborted, partial_report=report) from exc
+        logger.error(report.aborted)
     except KeyboardInterrupt:
         report.aborted = "interrupted"
         raise
@@ -456,7 +442,7 @@ def _run(
         report.elapsed_seconds = time.monotonic() - started
         report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         try:
-            report.save(out_dir)
+            save_report(out_dir, report.to_dict(), report.to_text())
         except OSError as exc:
             if report.aborted is None:
                 raise

@@ -26,11 +26,12 @@ from typing import NoReturn
 from .augment import AugmentConfig, export_finetune_corpus
 from .brackets import find_bracket_pairs
 from .campaign import (
-    CampaignAbortedError,
     CampaignConfig,
     ConfigError,
     open_corpus,
+    report_text,
     run_campaign,
+    save_report,
     triage,
 )
 from .corpus import Corpus, CorpusError
@@ -136,8 +137,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     try:
         report = run_campaign(campaign_cfg)
-    except CampaignAbortedError as exc:
-        report = exc.partial_report
     except KeyboardInterrupt:
         # the campaign saved its report before letting the interrupt out
         return _finish("campaign", "", "interrupted")
@@ -169,7 +168,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         labels=labels,
         state=args.state,
         until=until,
-        **({"page_size": args.page_size} if args.repo else {}),
+        page_size=args.page_size,
     )
     print(f"harvested {inserted} new entries into {corpus_dir} ({len(corpus)} total)")
     return 0
@@ -205,7 +204,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
     candidates_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
 
-    generated: list[str] = []
+    generated: list[tuple[Path, str]] = []
     over_threshold = 0
     for entry in corpus.entries():
         skeleton = extract_variables(entry.source_text)
@@ -218,43 +217,41 @@ def cmd_spe(args: argparse.Namespace) -> int:
         for i, text in enumerate(texts):
             path = candidates_dir / f"{entry.id}_p{i:04d}.rs"
             path.write_text(text, encoding="utf-8")
-        generated.extend(texts)
+            generated.append((path, text))
 
     summary = {
         "seeds": len(corpus),
         "seeds_over_threshold": over_threshold,
         "programs_generated": len(generated),
+        "aborted": None,
     }
 
-    aborted = None
     if target is not None:
         outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
         novelty = dict.fromkeys(Novelty, 0)
         # as in fuzz, a stop keeps the tallies of the compiles before it
         try:
-            for text in generated:
+            for path, text in generated:
                 outcome = compile_program(text, target)
-                found = triage(outcome, text, target, store, outcomes)
+                # a finding's case is the candidate file already written
+                found = triage(outcome, target, store, outcomes, lambda _sig: path)
                 if found is not None:
                     novelty[found[1]] += 1
         except HarnessError as exc:
-            aborted = f"compiler unavailable mid-run: {exc}"
+            summary["aborted"] = f"compiler unavailable mid-run: {exc}"
         except (BugStoreError, OSError) as exc:
-            aborted = f"cannot write findings: {exc}"
+            summary["aborted"] = f"cannot write findings: {exc}"
         except KeyboardInterrupt:
-            aborted = "interrupted"
+            summary["aborted"] = "interrupted"
         summary.update(
             outcomes,
             interesting=novelty[Novelty.INTERESTING],
             duplicate=novelty[Novelty.DUPLICATE],
         )
 
-    (out / "report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    summary_text = "".join(f"{k}: {v}\n" for k, v in sorted(summary.items()))
-    (out / "report.txt").write_text(summary_text, encoding="utf-8")
-    return _finish("spe", summary_text, aborted)
+    summary_text = report_text(summary)
+    save_report(out, summary, summary_text)
+    return _finish("spe", summary_text, summary["aborted"])
 
 
 def cmd_spans(args: argparse.Namespace) -> int:

@@ -16,11 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 from .harness import CompileOutcome
 
@@ -197,25 +199,27 @@ def signature(
 
 
 class BugStoreError(Exception):
-    """Journal or case file could not be written."""
+    """The store or its journal could not be written."""
 
 
 class BugStore:
     """Append-only record of distinct signatures.
 
     The journal is a JSON-lines file; each line fully describes one
-    signature and points at the first case that produced it. The
-    journal line is flushed before the in-memory index is updated, so
-    a crash can duplicate work later but never lose a recorded bug.
+    signature and points at the first case that produced it. The store
+    lives in a run's output directory, and each case path is journalled
+    relative to that directory. A case is written before its journal
+    line, and the line is flushed before the in-memory index is
+    updated, so a crash can leave a case that a rerun writes again, but
+    never a journalled digest without its case.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.cases_dir = self.root / "cases"
         self.journal_path = self.root / "signatures.jsonl"
         self._digests: set[str] = set()
         try:
-            self.cases_dir.mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise BugStoreError(f"cannot create bug store at {self.root}: {exc}") from exc
         if self.journal_path.exists():
@@ -244,24 +248,28 @@ class BugStore:
     def __contains__(self, digest: str) -> bool:
         return digest in self._digests
 
-    def record_if_new(self, sig: BugSignature, case_text: str) -> Novelty:
+    def record_if_new(
+        self, sig: BugSignature, write_case: Callable[[BugSignature], Path]
+    ) -> Novelty:
         """Journal a signature the first time it is seen.
 
-        Returns INTERESTING exactly once per digest; everything after
-        that is DUPLICATE.
+        For a first-seen digest, ``write_case(sig)`` writes the case and
+        returns its path, which the journal line then records. Returns
+        INTERESTING exactly once per digest; everything after that is
+        DUPLICATE. An error of ``write_case`` propagates and journals
+        nothing.
         """
         if sig.digest in self._digests:
             return Novelty.DUPLICATE
-        case_rel = f"cases/{sig.digest[:16]}.rs"
+        case_path = write_case(sig)
         record = {
             "digest": sig.digest,
             "kind": sig.kind.value,
             "payload": sig.payload_dict(),
-            "first_case_path": case_rel,
+            "first_case_path": os.path.relpath(case_path, self.root.parent),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         try:
-            (self.root / case_rel).write_text(case_text, encoding="utf-8")
             with self.journal_path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
                 fh.flush()

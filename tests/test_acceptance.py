@@ -154,10 +154,15 @@ def test_criterion_07_dedup_one_interesting_nineteen_duplicates(tmp_path):
             artifact_present=False,
         )
 
+    def write_case(sig):
+        path = tmp_path / "case.rs"
+        path.write_text("fn main() {}", encoding="utf-8")
+        return path
+
     store = BugStore(tmp_path / "store")
     tallies = Counter(
         store.record_if_new(
-            signature(ice_outcome(ICE_FIXTURE), BugKind.ICE), "fn main() {}"
+            signature(ice_outcome(ICE_FIXTURE), BugKind.ICE), write_case
         )
         for _ in range(20)
     )

@@ -18,7 +18,6 @@ from conftest import TIMEPASS_HANG_BODY, TRIGGER_BODY
 import clozefuzz
 from clozefuzz import campaign
 from clozefuzz.campaign import (
-    CampaignAbortedError,
     CampaignConfig,
     ConfigError,
     report_bug,
@@ -55,6 +54,16 @@ def trigger_compiler(scripted):
         kind="scripted-fake",
         timeout_secs=5.0,
     )
+
+
+BUNDLE_FILES = [
+    "candidate.rs",
+    "masked.txt",
+    "repro.sh",
+    "seed-ref.txt",
+    "signature.json",
+    "stderr.txt",
+]
 
 
 def _alive(pid: int) -> bool:
@@ -106,7 +115,7 @@ class TestArithmetic:
         on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
         assert on_disk == report.to_dict()
         text = (tmp_path / "out" / "report.txt").read_text()
-        assert "campaign summary" in text
+        assert "candidates_compiled: 3\n" in text
         assert report.generated_at  # timestamp was stamped before saving
 
     def test_a_finished_campaign_leaves_no_scratch_directory(
@@ -152,14 +161,7 @@ class TestBundles:
         report, out = self.run_ice_campaign(corpus_dir, tmp_path, trigger_compiler)
         bundle = out / report.bundles[0]
         names = sorted(p.name for p in bundle.iterdir())
-        assert names == [
-            "candidate.rs",
-            "masked.txt",
-            "repro.sh",
-            "seed-ref.txt",
-            "signature.json",
-            "stderr.txt",
-        ]
+        assert names == BUNDLE_FILES
         assert "0xBUG" in (bundle / "candidate.rs").read_text()
         assert "<infill>" in (bundle / "masked.txt").read_text()
         assert "internal compiler error" in (bundle / "stderr.txt").read_text()
@@ -167,6 +169,31 @@ class TestBundles:
         sig = json.loads((bundle / "signature.json").read_text())
         assert bundle.name == sig["digest"][:16]
         assert sig["kind"] == "ice"
+
+    def test_a_finding_whose_bundle_failed_is_bundled_on_rerun(
+        self, corpus_dir, tmp_path, trigger_compiler, monkeypatch
+    ):
+        report_bug = campaign.report_bug
+        failed = []
+
+        def full_disk_once(*args):
+            if not failed:
+                failed.append(1)
+                raise OSError(28, "No space left on device")
+            return report_bug(*args)
+
+        monkeypatch.setattr(campaign, "report_bug", full_disk_once)
+        first, out = self.run_ice_campaign(corpus_dir, tmp_path, trigger_compiler)
+        assert first.aborted.startswith("cannot write findings")
+        assert (first.interesting, first.bundles) == (0, [])
+        assert not (out / "bugstore" / "signatures.jsonl").exists()
+        assert json.loads((out / "report.json").read_text())["aborted"] == first.aborted
+
+        rerun, _ = self.run_ice_campaign(corpus_dir, tmp_path, trigger_compiler)
+        assert rerun.aborted is None
+        assert rerun.interesting == 1
+        bundle = out / rerun.bundles[0]
+        assert sorted(p.name for p in bundle.iterdir()) == BUNDLE_FILES
 
     def test_repro_script_reproduces_the_crash(
         self, corpus_dir, tmp_path, trigger_compiler
@@ -508,20 +535,17 @@ class TestFailureModes:
         original = BugStore.record_if_new
         calls = []
 
-        def flaky(self, sig, case_text):
+        def flaky(self, sig, write_case):
             if calls:
                 raise BugStoreError("journal write failed: disk full")
             calls.append(1)
-            return original(self, sig, case_text)
+            return original(self, sig, write_case)
 
         monkeypatch.setattr(BugStore, "record_if_new", flaky)
         cfg = make_config(
             corpus_dir, tmp_path, trigger_compiler, ["0xBUG boom()"], budget=5
         )
-        with pytest.raises(CampaignAbortedError) as exc_info:
-            run_campaign(cfg)
-        partial = exc_info.value.partial_report
-        assert partial is not None
+        partial = run_campaign(cfg)
         assert partial.interesting == 1
         assert partial.aborted.startswith("cannot write findings")
         assert "disk full" in partial.aborted
@@ -723,7 +747,7 @@ class TestDeterminismAcrossWorkers:
         corpus.mkdir()
         (corpus / "feature.rs").write_text(SEED_FEATURE, encoding="utf-8")
 
-        def broken(self, sig, case_text):
+        def broken(self, sig, write_case):
             raise BugStoreError("journal write failed: disk full")
 
         monkeypatch.setattr(BugStore, "record_if_new", broken)
@@ -732,10 +756,8 @@ class TestDeterminismAcrossWorkers:
             ["0xBUG boom()", "slow_1()", "slow_2()", "slow_3()"],
             budget=20, workers=2, skip_preflight=True,
         )
-        with pytest.raises(CampaignAbortedError) as exc_info:
-            run_campaign(cfg)
-        partial = exc_info.value.partial_report
-        assert partial is not None
+        partial = run_campaign(cfg)
+        assert partial.aborted.startswith("cannot write findings")
         assert partial.outcomes["ice"] == 1
         assert partial.candidates_compiled == 1
         assert (tmp_path / "out" / "report.json").is_file()
@@ -890,7 +912,7 @@ class TestStops:
     ):
         compiler, corpus, pids, work = sleepy
 
-        def broken(self, sig, case_text):
+        def broken(self, sig, write_case):
             raise BugStoreError("journal write failed: disk full")
 
         monkeypatch.setattr(BugStore, "record_if_new", broken)
@@ -902,10 +924,10 @@ class TestStops:
             budget=20, workers=2, skip_preflight=True,
         )
         began = time.monotonic()
-        with pytest.raises(CampaignAbortedError) as exc_info:
-            run_campaign(cfg)
+        partial = run_campaign(cfg)
         assert time.monotonic() - began < 2.0
-        assert exc_info.value.partial_report.candidates_compiled == 1
+        assert partial.aborted.startswith("cannot write findings")
+        assert partial.candidates_compiled == 1
         self.assert_nothing_left(pids, work)
 
     def test_time_budget_kills_running_compiles(self, tmp_path, sleepy):
@@ -1030,8 +1052,10 @@ class TestHookPoints:
 
     def test_benchmark_child_runs_on_this_tree(self, tmp_path, monkeypatch):
         """The benchmark child also hooks ``masking.lex``, ``brackets.lex``,
-        ``masking.find_spans``, ``LexResult.tokens``, ``Corpus`` methods and
-        ``CampaignConfig(compilers=...)``; one traced run checks them all."""
+        ``masking.find_spans``, ``LexResult.tokens``, ``Corpus`` methods,
+        ``BugStore.record_if_new`` and ``CampaignConfig(compilers=...)``.
+        One full ``fake-mixed`` campaign untraced and one traced check
+        them all."""
         root = Path(clozefuzz.__file__).resolve().parents[2]
         bench = root / "perfbench"
         spec_of = importlib.util.spec_from_file_location(
@@ -1040,29 +1064,35 @@ class TestHookPoints:
         workloads = importlib.util.module_from_spec(spec_of)
         monkeypatch.setitem(sys.modules, "workloads", workloads)
         spec_of.loader.exec_module(workloads)
-        spec = dict(
-            workloads.build("fake-mixed", 1).materialise(tmp_path / "bench"),
-            budget=30,
-            trace=1,
-            campaign_seed=1,
-            out_dir=str(tmp_path / "out"),
-            spans_path=str(tmp_path / "spans.jsonl"),
-        )
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, str(bench / "child.py"), str(spec_path)],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["aborted"] is None
-        assert result["report"]["candidates_compiled"] == result["ledger_len"] == 30
-        layers = result["layers"]
-        assert isinstance(layers, dict)
-        assert layers["lexer.lex.calls"] > 0
-        assert layers["brackets.find_spans.calls"] > 0
-        assert layers["corpus.preflight_filter.s"] > 0
+        base = workloads.build("fake-mixed", 1).materialise(tmp_path / "bench")
+        for trace in (0, 1):
+            spec = dict(
+                base,
+                trace=trace,
+                campaign_seed=1,
+                out_dir=str(tmp_path / f"out{trace}"),
+                spans_path=str(tmp_path / "spans.jsonl"),
+            )
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec), encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, str(bench / "child.py"), str(spec_path)],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            assert result["aborted"] is None
+            report = result["report"]
+            assert report["candidates_compiled"] == base["budget"] == result["ledger_len"]
+            assert report["bundles"]
+            if trace:
+                layers = result["layers"]
+                assert isinstance(layers, dict)
+                assert layers["lexer.lex.calls"] > 0
+                assert layers["brackets.find_spans.calls"] > 0
+                assert layers["corpus.preflight_filter.s"] > 0
+                assert layers["oracle.record_if_new.calls"] > 0
+                assert layers["campaign.report_bug.calls"] == report["interesting"]

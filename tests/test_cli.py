@@ -52,7 +52,7 @@ FUZZ_REPORT_KEYS = {
     "candidates_compiled", "outcomes", "interesting", "duplicate",
     "infill_errors", "bundles", "per_seed",
 }
-SPE_REPORT_KEYS = {"seeds", "seeds_over_threshold", "programs_generated"}
+SPE_REPORT_KEYS = {"seeds", "seeds_over_threshold", "programs_generated", "aborted"}
 SPE_TRIAGE_KEYS = {"pass", "reject", "ice", "hang", "interesting", "duplicate"}
 
 
@@ -98,7 +98,7 @@ class TestFuzzCommand:
             )
         )
         assert rc == 0
-        assert "campaign summary" in capsys.readouterr().out
+        assert "candidates_compiled: 6\n" in capsys.readouterr().out
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["candidates_compiled"] == 6
         assert report["interesting"] >= 1
@@ -361,6 +361,31 @@ def spe_args(corpus_dir, out, *extra):
     return ["spe", "--corpus", str(corpus_dir), "--out", str(out), *extra]
 
 
+@pytest.mark.parametrize("command", ["fuzz", "spe"])
+def test_every_journal_line_names_a_case_file_under_out(
+    command, corpus_dir, trigger_bin, mock_script, tmp_path, scripted
+):
+    out = tmp_path / "out"
+    if command == "fuzz":
+        argv = fuzz_args(
+            corpus_dir, trigger_bin, mock_script, out, "--budget-candidates", "6"
+        )
+    else:
+        argv = spe_args(
+            corpus_dir, out,
+            "--compiler", scripted("ice", ICE_BODY), "--compiler-kind", "scripted-fake",
+        )
+    assert main(argv) == 0
+    journal = (out / "bugstore" / "signatures.jsonl").read_text().splitlines()
+    assert len(journal) == json.loads((out / "report.json").read_text())["interesting"]
+    assert journal
+    for line in journal:
+        case = out / json.loads(line)["first_case_path"]
+        assert case.is_file()
+        assert out.resolve() in case.resolve().parents
+    assert [p.name for p in (out / "bugstore").iterdir()] == ["signatures.jsonl"]
+
+
 class TestSpeCommand:
     @pytest.fixture
     def spe_corpus(self, tmp_path):
@@ -388,6 +413,7 @@ class TestSpeCommand:
         assert rc == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
+        assert report["aborted"] is None
         assert report["seeds"] == 1
         assert report["programs_generated"] == 1
         assert report["pass"] == 1
@@ -437,6 +463,7 @@ class TestSpeCommand:
         assert "spe aborted: " in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
+        assert report["aborted"].startswith("compiler unavailable mid-run")
         assert report["programs_generated"] == 5
         assert report["pass"] == 1
         assert "pass: 1" in (out / "report.txt").read_text()
@@ -467,6 +494,8 @@ class TestSpeCommand:
         assert "spe aborted: interrupted" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert set(report) == SPE_REPORT_KEYS | SPE_TRIAGE_KEYS
+        assert report["aborted"] == "interrupted"
+        assert "aborted: interrupted\n" in (out / "report.txt").read_text()
         assert report["programs_generated"] == 5
         assert report["pass"] == 1
         assert "pass: 1" in (out / "report.txt").read_text()
@@ -648,7 +677,7 @@ def test_module_entry_point_smoke():
     assert "mine" in proc.stdout
 
 
-def _refuse_to_record(self, sig, case_text):
+def _refuse_to_record(self, sig, write_case):
     raise BugStoreError("bug store write failed: [Errno 28] No space left on device")
 
 

@@ -185,6 +185,20 @@ class TestSignature:
                 signature(outcome(), kind)
 
 
+def case_writer(root, text):
+    """A ``write_case`` that writes ``text`` beside the store under
+    ``root`` and counts its calls."""
+
+    def write_case(sig):
+        write_case.calls += 1
+        path = root / f"{sig.digest[:16]}.rs"
+        path.write_text(text)
+        return path
+
+    write_case.calls = 0
+    return write_case
+
+
 class TestBugStore:
     def sig(self, text):
         return signature(outcome(101, stderr=text), BugKind.ICE)
@@ -192,45 +206,69 @@ class TestBugStore:
     def test_first_seen_then_duplicate(self, tmp_path):
         store = BugStore(tmp_path / "store")
         sig = self.sig(RUSTC_ICE_STDERR)
-        assert store.record_if_new(sig, "fn main() {}") is Novelty.INTERESTING
-        assert store.record_if_new(sig, "fn other() {}") is Novelty.DUPLICATE
+        first = case_writer(tmp_path, "fn main() {}")
+        again = case_writer(tmp_path, "fn other() {}")
+        assert store.record_if_new(sig, first) is Novelty.INTERESTING
+        assert store.record_if_new(sig, again) is Novelty.DUPLICATE
+        assert (first.calls, again.calls) == (1, 0)
         assert len(store) == 1
         assert sig.digest in store
 
     def test_twin_signature_is_duplicate(self, tmp_path):
         store = BugStore(tmp_path / "store")
-        store.record_if_new(self.sig(RUSTC_ICE_STDERR), "fn main() {}")
+        write_case = case_writer(tmp_path, "fn main() {}")
+        store.record_if_new(self.sig(RUSTC_ICE_STDERR), write_case)
         twin = self.sig(RUSTC_ICE_STDERR_TWIN)
-        assert store.record_if_new(twin, "fn main() {}") is Novelty.DUPLICATE
+        assert store.record_if_new(twin, write_case) is Novelty.DUPLICATE
 
     def test_case_file_and_journal_written(self, tmp_path):
         root = tmp_path / "store"
         store = BugStore(root)
         sig = self.sig(RUSTC_ICE_STDERR)
-        store.record_if_new(sig, "fn crash() {}")
-        case = root / "cases" / f"{sig.digest[:16]}.rs"
-        assert case.read_text() == "fn crash() {}"
+        store.record_if_new(sig, case_writer(tmp_path, "fn crash() {}"))
+        assert [p.name for p in root.iterdir()] == ["signatures.jsonl"]
         lines = (root / "signatures.jsonl").read_text().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["digest"] == sig.digest
         assert record["kind"] == "ice"
-        assert record["first_case_path"] == f"cases/{sig.digest[:16]}.rs"
+        # relative to the directory that holds the store
+        assert record["first_case_path"] == f"{sig.digest[:16]}.rs"
+        case = tmp_path / record["first_case_path"]
+        assert case.read_text() == "fn crash() {}"
+
+    def test_a_failed_case_write_journals_nothing(self, tmp_path):
+        root = tmp_path / "store"
+        sig = self.sig(RUSTC_ICE_STDERR)
+
+        def full_disk(_sig):
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError):
+            BugStore(root).record_if_new(sig, full_disk)
+        assert not (root / "signatures.jsonl").exists()
+        write_case = case_writer(tmp_path, "fn main() {}")
+        assert BugStore(root).record_if_new(sig, write_case) is Novelty.INTERESTING
+        assert write_case.calls == 1
 
     def test_reopen_replays_journal(self, tmp_path):
         root = tmp_path / "store"
         sig = self.sig(RUSTC_ICE_STDERR)
-        BugStore(root).record_if_new(sig, "fn main() {}")
+        write_case = case_writer(tmp_path, "fn main() {}")
+        BugStore(root).record_if_new(sig, write_case)
         reopened = BugStore(root)
         assert sig.digest in reopened
-        assert reopened.record_if_new(sig, "fn main() {}") is Novelty.DUPLICATE
+        assert reopened.record_if_new(sig, write_case) is Novelty.DUPLICATE
 
     def test_corrupt_journal_lines_are_skipped(self, tmp_path):
         root = tmp_path / "store"
         store = BugStore(root)
-        store.record_if_new(self.sig(RUSTC_ICE_STDERR), "fn a() {}")
         store.record_if_new(
-            self.sig(RUSTC_ICE_STDERR.replace("usize", "u32")), "fn b() {}"
+            self.sig(RUSTC_ICE_STDERR), case_writer(tmp_path, "fn a() {}")
+        )
+        store.record_if_new(
+            self.sig(RUSTC_ICE_STDERR.replace("usize", "u32")),
+            case_writer(tmp_path, "fn b() {}"),
         )
         with (root / "signatures.jsonl").open("a") as fh:
             fh.write("{this is not json\n")
@@ -240,12 +278,13 @@ class TestBugStore:
     def test_journal_lines_without_a_digest_are_skipped(self, tmp_path):
         root = tmp_path / "store"
         sig = self.sig(RUSTC_ICE_STDERR)
-        BugStore(root).record_if_new(sig, "fn a() {}")
+        write_case = case_writer(tmp_path, "fn a() {}")
+        BugStore(root).record_if_new(sig, write_case)
         with (root / "signatures.jsonl").open("a") as fh:
             fh.write('{"kind": "ice"}\n{"digest": 3}\n[1]\n')
         reopened = BugStore(root)
         assert len(reopened) == 1
-        assert reopened.record_if_new(sig, "fn a() {}") is Novelty.DUPLICATE
+        assert reopened.record_if_new(sig, write_case) is Novelty.DUPLICATE
 
     def test_unwritable_root_raises(self, tmp_path):
         blocker = tmp_path / "file"
