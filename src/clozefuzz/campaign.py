@@ -23,7 +23,6 @@ baseline both classify, sign and journal every compile through it.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import random
@@ -70,6 +69,7 @@ class ConfigError(Exception):
 class CampaignConfig:
     corpus_dir: str | Path
     out_dir: str | Path
+    # exactly one target, listed: the campaign benchmark builds it so
     compilers: list[CompilerConfig]
     infill: InfillConfig
     budget_candidates: int | None = None
@@ -79,8 +79,8 @@ class CampaignConfig:
     skip_preflight: bool = False
 
     def __post_init__(self) -> None:
-        if not self.compilers:
-            raise ConfigError("at least one compiler target is required")
+        if len(self.compilers) != 1:
+            raise ConfigError("give exactly one compiler target")
         if self.budget_candidates is None and self.budget_seconds is None:
             raise ConfigError("set a candidate budget, a time budget, or both")
         if self.budget_candidates is not None and self.budget_candidates < 1:
@@ -149,40 +149,30 @@ def save_report(out_dir: Path, fields: dict, text: str) -> None:
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
 
 
-def open_corpus(path: str | Path) -> Corpus:
-    """Open a managed corpus, or load a plain directory of seeds as
-    user-supplied."""
-    root = Path(path)
-    if (root / "manifest.jsonl").is_file():
-        return Corpus.open(root)
-    return load_corpus(root)
-
-
 def triage(
     outcome: CompileOutcome,
     target: CompilerConfig,
     store: BugStore,
     outcomes: dict[str, int],
     write_case: Callable[[BugSignature], Path],
-) -> tuple[BugSignature, Novelty] | None:
+) -> Novelty | None:
     """Classify one compile and count it in ``outcomes``.
 
     An ICE or a hang is signed (a hang by the pass-timing lines its
     own compile printed before the timeout) and journalled in
     ``store``, which calls ``write_case`` for a first-seen signature;
-    the signature and its novelty come back.
-    A pass or a reject returns None. The outcome is counted before the
-    journal write, so a failing write still leaves it counted. The
-    oracle is reached through this module's names, which the campaign
-    benchmark replaces to record its outcome ledger.
+    its novelty comes back. A pass or a reject returns None. The
+    outcome is counted before the journal write, so a failing write
+    still leaves it counted. The oracle is reached through this
+    module's names, which the campaign benchmark replaces to record
+    its outcome ledger.
     """
     kind = classify(outcome, target.kind)
     outcomes[kind.value] += 1
     if kind not in (BugKind.ICE, BugKind.HANG):
         return None
     trace = time_passes(outcome) if kind is BugKind.HANG else None
-    sig = signature(outcome, kind, trace)
-    return sig, store.record_if_new(sig, write_case)
+    return store.record_if_new(signature(outcome, kind, trace), write_case)
 
 
 def report_bug(
@@ -250,8 +240,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for target in cfg.compilers:
-        ensure_compiler(target)
+    ensure_compiler(cfg.compilers[0])
 
     pool = ThreadPoolExecutor(
         max_workers=cfg.workers, thread_name_prefix="clozefuzz-compile"
@@ -268,19 +257,19 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 def _run(
     cfg: CampaignConfig, pool: ThreadPoolExecutor, started: float, out_dir: Path
 ) -> CampaignReport:
-    corpus = open_corpus(cfg.corpus_dir)
+    corpus = load_corpus(cfg.corpus_dir)
+    target = cfg.compilers[0]
     backend = cfg.infill.backend
     report = CampaignReport(
         seed=cfg.seed,
         corpus_dir=str(cfg.corpus_dir),
         compilers=[
             {
-                "kind": t.kind,
-                "binary": str(t.binary_path),
-                "flags": list(t.extra_flags),
-                "timeout_secs": t.timeout_secs,
+                "kind": target.kind,
+                "binary": str(target.binary_path),
+                "flags": list(target.extra_flags),
+                "timeout_secs": target.timeout_secs,
             }
-            for t in cfg.compilers
         ],
         backend_id=getattr(backend, "backend_id", "unknown"),
         budgets={
@@ -295,7 +284,7 @@ def _run(
     deadline = None if cfg.budget_seconds is None else started + cfg.budget_seconds
     # compiles issued and not yet committed, oldest first; twice the
     # worker count keeps every worker fed while the next one is infilled
-    in_flight: deque[tuple[Future, InfillResult, CompilerConfig]] = deque()
+    in_flight: deque[tuple[Future, InfillResult]] = deque()
     max_in_flight = 2 * cfg.workers
     issued = 0
 
@@ -311,21 +300,20 @@ def _run(
         return None
 
     def preflight() -> None:
-        """Drop the seeds that already crash or hang a target. Each
+        """Drop the seeds that already crash or hang the target. The
         wait ends at the time budget's deadline; past it the loop below
         stops at once, and the compiles still in flight are dropped
         like the loop's own."""
-        for target in cfg.compilers:
-            left = None if deadline is None else deadline - time.monotonic()
-            try:
-                rejected = preflight_filter(
-                    corpus, target, functools.partial(pool.map, timeout=left)
-                )
-            except PoolTimeoutError:
-                return
-            report.preflight_rejected += len(rejected)
+        left = None if deadline is None else deadline - time.monotonic()
+        try:
+            rejected = preflight_filter(
+                corpus, target, functools.partial(pool.map, timeout=left)
+            )
+        except PoolTimeoutError:
+            return
+        report.preflight_rejected = len(rejected)
 
-    def commit(result: InfillResult, target: CompilerConfig, outcome) -> None:
+    def commit(result: InfillResult, outcome) -> None:
         """Triage one compile. Runs on the campaign's thread in issue
         order, so the bug store, bundles and feedback seeds match any
         worker count. A new finding's bundle is written before its
@@ -339,10 +327,10 @@ def _run(
             )
             return bundle / "candidate.rs"
 
-        found = triage(outcome, target, store, report.outcomes, write_case)
-        if found is None:
+        novelty = triage(outcome, target, store, report.outcomes, write_case)
+        if novelty is None:
             return
-        if found[1] is Novelty.DUPLICATE:
+        if novelty is Novelty.DUPLICATE:
             report.duplicate += 1
             return
         report.interesting += 1
@@ -358,12 +346,12 @@ def _run(
         flight are dropped uncounted by ``run_campaign``'s teardown.
         """
         while len(in_flight) > limit:
-            future, result, target = in_flight[0]
+            future, result = in_flight[0]
             left = None if deadline is None else deadline - time.monotonic()
             if left is not None and (left <= 0 or not wait([future], left).done):
                 return
             in_flight.popleft()
-            commit(result, target, future.result())
+            commit(result, future.result())
 
     def process_seed(entry) -> int:
         """Mask and infill one seed, compile its candidates on the pool
@@ -390,12 +378,12 @@ def _run(
                 continue
             report.candidates_generated += len(results)
             stats["candidates"] += len(results)
-            for result, target in itertools.product(results, cfg.compilers):
+            for result in results:
                 settle(max_in_flight - 1)
                 if spent():
                     break
                 future = pool.submit(compile_program, result.candidate_text, target)
-                in_flight.append((future, result, target))
+                in_flight.append((future, result))
                 issued += 1
         # the next draw may pick a feedback seed committed from this one
         settle(0)

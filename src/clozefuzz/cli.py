@@ -14,6 +14,7 @@ sets each, except a usage error's 1, which ``_Parser`` exits with.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import random
@@ -28,13 +29,12 @@ from .brackets import find_bracket_pairs
 from .campaign import (
     CampaignConfig,
     ConfigError,
-    open_corpus,
     report_text,
     run_campaign,
     save_report,
     triage,
 )
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus, CorpusError, load_corpus
 from .harness import (
     COMPILER_KINDS,
     CompileOutcome,
@@ -175,7 +175,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    corpus = open_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
     try:
         cfg = AugmentConfig(
             delete_prob=args.delete_prob,
@@ -196,7 +196,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
     target = _compiler_from_args(args) if args.compiler else None
     if target is not None:
         ensure_compiler(target)
-    corpus = open_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
     out = Path(args.out)
     # opened first, so a store that cannot be made leaves no candidate
     store = BugStore(out / "bugstore") if target is not None else None
@@ -214,8 +214,11 @@ def cmd_spe(args: argparse.Namespace) -> int:
         ):
             over_threshold += 1
         texts = enumerate_fillings(skeleton, args.threshold, args.sample_size, rng)
-        for i, text in enumerate(texts):
-            path = candidates_dir / f"{entry.id}_p{i:04d}.rs"
+        for text in texts:
+            # named by its text, so a later run never gives a journalled
+            # name other content
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            path = candidates_dir / f"{entry.id}_{digest[:16]}.rs"
             path.write_text(text, encoding="utf-8")
             generated.append((path, text))
 
@@ -236,7 +239,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
                 # a finding's case is the candidate file already written
                 found = triage(outcome, target, store, outcomes, lambda _sig: path)
                 if found is not None:
-                    novelty[found[1]] += 1
+                    novelty[found] += 1
         except HarnessError as exc:
             summary["aborted"] = f"compiler unavailable mid-run: {exc}"
         except (BugStoreError, OSError) as exc:

@@ -43,10 +43,6 @@ class CorpusError(Exception):
     pass
 
 
-class CorpusExhaustedError(CorpusError):
-    """Sampling from an empty corpus."""
-
-
 def normalize_source(text: str) -> str:
     norm = "\n".join(line.rstrip() for line in text.split("\n"))
     if norm.endswith("\n"):
@@ -134,7 +130,7 @@ class Corpus:
     def sample(self, rng: random.Random) -> CorpusEntry:
         """Uniform draw over current entries."""
         if not self._entries:
-            raise CorpusExhaustedError("corpus is empty")
+            raise CorpusError("corpus is empty")
         keys = list(self._entries)
         return self._entries[keys[rng.randrange(len(keys))]]
 
@@ -214,13 +210,18 @@ class Corpus:
 
 
 def load_corpus(root: str | Path) -> Corpus:
-    """Build a corpus from the ``*.rs`` files under a directory.
+    """Open the corpus in a directory: the one way every command but
+    ``mine`` opens one.
 
-    Entries are user-supplied. Files that fail to read at all or to
-    decode as UTF-8 are skipped with a counter bump; a missing root is
-    a hard error.
+    A directory holding a manifest is a managed corpus, opened with
+    ``Corpus.open``. Otherwise the ``*.rs`` files under it become
+    user-supplied entries of an in-memory corpus; files that fail to
+    read at all or to decode as UTF-8 are skipped with a counter bump.
+    A missing root is a hard error.
     """
     root = Path(root)
+    if (root / MANIFEST_NAME).is_file():
+        return Corpus.open(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root is not a directory: {root}")
     corpus = Corpus()

@@ -3,8 +3,7 @@
 Runs a compiler on candidate programs, with a hard wall-clock limit,
 process-group cleanup, and capped output capture. Each thread that
 compiles keeps one scratch directory for its lifetime, emptied after
-every compile, instead of making and removing one per compile. Its
-name holds the pid of its process, so that a later process can remove
+every compile. Its name holds the pid of its process, so that a later process can remove
 it once that one has been killed. A compile ends when its compiler
 does: its process group is killed then, so neither a straggler in the
 group nor a process that escaped it can hold the compile open through

@@ -588,6 +588,7 @@ class TestConfigValidation:
         CampaignConfig(**good)  # sanity: the base shape is accepted
         for mutation in (
             {"compilers": []},
+            {"compilers": [trigger_compiler, trigger_compiler]},
             {"budget_candidates": None},
             {"budget_candidates": 0},
             {"budget_candidates": None, "budget_seconds": -1.0},

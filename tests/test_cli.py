@@ -448,6 +448,39 @@ class TestSpeCommand:
         journal = (out / "bugstore" / "signatures.jsonl").read_text()
         assert len(journal.splitlines()) == 1
 
+    def test_a_later_run_never_rewrites_a_journalled_case(
+        self, tmp_path, scripted, monkeypatch
+    ):
+        # five variables, 120 arrangements: each rng seed samples its own 32
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "five.rs").write_text(
+            "fn f() { let a = 1; let b = 2; let c = 3; let d = 4; let e = 5; }\n",
+            encoding="utf-8",
+        )
+        compiled = []
+        compile_program = cli.compile_program
+
+        def recording(text, target):
+            compiled.append(text)
+            return compile_program(text, target)
+
+        monkeypatch.setattr(cli, "compile_program", recording)
+        out = tmp_path / "out"
+        ice = scripted("ice", ICE_BODY)
+        for seed in ("1", "2"):
+            argv = spe_args(
+                corpus_dir, out, "--seed", seed,
+                "--compiler", ice, "--compiler-kind", "scripted-fake",
+            )
+            assert main(argv) == 0
+        # every compile signs the same ICE, so the first one found it
+        assert len(compiled) == 64
+        journal = (out / "bugstore" / "signatures.jsonl").read_text().splitlines()
+        assert len(journal) == 1
+        case = out / json.loads(journal[0])["first_case_path"]
+        assert case.read_text(encoding="utf-8") == compiled[0]
+
     def test_compiler_lost_mid_run_keeps_the_report(
         self, spe_corpus, tmp_path, scripted, capsys
     ):

@@ -10,7 +10,6 @@ from conftest import TRIGGER_BODY
 from clozefuzz.corpus import (
     Corpus,
     CorpusError,
-    CorpusExhaustedError,
     content_hash,
     load_corpus,
     normalize_source,
@@ -103,7 +102,7 @@ def test_sampling_determinism_and_spread():
 
 
 def test_sampling_empty_corpus_raises():
-    with pytest.raises(CorpusExhaustedError):
+    with pytest.raises(CorpusError):
         Corpus().sample(random.Random(0))
 
 
@@ -122,6 +121,20 @@ def test_load_corpus_from_directories(tmp_path):
     assert texts == {"fn one() {}", "fn two() {}", "fn top() {}"}
     assert corpus.skipped_undecodable == 1
     assert {e.provenance for e in corpus.entries()} == {"user-supplied"}
+
+
+def test_load_corpus_opens_a_managed_directory(tmp_path):
+    store = tmp_path / "corpus"
+    corpus = Corpus(storage_dir=store)
+    id_a, _ = corpus.add_entry("fn a() {}", "issue-mined")
+    id_b, _ = corpus.add_entry("fn b() {}", "fuzzer-feedback")
+
+    loaded = load_corpus(store)
+    assert {(e.id, e.provenance) for e in loaded.entries()} == {
+        (id_a, "issue-mined"),
+        (id_b, "fuzzer-feedback"),
+    }
+    assert loaded.storage_dir == store
 
 
 def test_load_corpus_missing_root_is_hard_error(tmp_path):
