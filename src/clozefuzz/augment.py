@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, content_hash
+from .corpus import MANIFEST_NAME, Corpus, content_hash
 from .lexer import TokenKind, lex
 
 logger = logging.getLogger(__name__)
@@ -132,10 +132,10 @@ def export_finetune_corpus(
     records: list[dict] = []
     seen: set[str] = set()
 
-    def emit(text: str, op: str, parent_id: str, attempt_seed: str | None) -> bool:
+    def emit(text: str, op: str, parent_id: str, attempt_seed: str | None) -> None:
         digest = content_hash(text)
         if digest in seen:
-            return False
+            return
         seen.add(digest)
         name = f"ft_{len(records):06d}.rs"
         (out / name).write_text(text, encoding="utf-8")
@@ -144,12 +144,12 @@ def export_finetune_corpus(
                 "id": name,
                 "parent_id": parent_id,
                 "op": op,
+                "provenance": "augmented",
                 "seed": attempt_seed,
                 "path": name,
                 "hash": digest,
             }
         )
-        return True
 
     for entry in entries:
         emit(entry.source_text, "original", entry.id, None)
@@ -178,7 +178,7 @@ def export_finetune_corpus(
             len(records),
             cfg.target_size,
         )
-    manifest = out / "manifest.jsonl"
+    manifest = out / MANIFEST_NAME
     with manifest.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -18,6 +18,7 @@ Ctrl-C returns the report; Ctrl-C saves it and re-raises.
 
 ``triage`` is the one oracle path: the campaign and the ``spe``
 baseline both classify, sign and journal every compile through it.
+``sign`` is the one signing rule, which ``clozefuzz classify`` shares.
 """
 
 from __future__ import annotations
@@ -149,6 +150,17 @@ def save_report(out_dir: Path, fields: dict, text: str) -> None:
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
 
 
+def sign(outcome: CompileOutcome, kind: BugKind) -> BugSignature | None:
+    """An ICE's or a hang's signature, None for a pass or a reject. A
+    hang is signed by the pass-timing lines its own compile printed
+    before the timeout."""
+    if kind not in (BugKind.ICE, BugKind.HANG):
+        return None
+    # both through this module's names, which the campaign benchmark counts
+    trace = time_passes(outcome) if kind is BugKind.HANG else None
+    return signature(outcome, kind, trace)
+
+
 def triage(
     outcome: CompileOutcome,
     target: CompilerConfig,
@@ -158,21 +170,17 @@ def triage(
 ) -> Novelty | None:
     """Classify one compile and count it in ``outcomes``.
 
-    An ICE or a hang is signed (a hang by the pass-timing lines its
-    own compile printed before the timeout) and journalled in
-    ``store``, which calls ``write_case`` for a first-seen signature;
-    its novelty comes back. A pass or a reject returns None. The
-    outcome is counted before the journal write, so a failing write
-    still leaves it counted. The oracle is reached through this
-    module's names, which the campaign benchmark replaces to record
-    its outcome ledger.
+    An ICE or a hang is signed by ``sign`` and journalled in ``store``,
+    which calls ``write_case`` for a first-seen signature; its novelty
+    comes back. A pass or a reject returns None. The outcome is counted
+    before the journal write, so a failing write still leaves it
+    counted. The oracle is reached through this module's names, which
+    the campaign benchmark replaces to record its outcome ledger.
     """
     kind = classify(outcome, target.kind)
     outcomes[kind.value] += 1
-    if kind not in (BugKind.ICE, BugKind.HANG):
-        return None
-    trace = time_passes(outcome) if kind is BugKind.HANG else None
-    return store.record_if_new(signature(outcome, kind, trace), write_case)
+    sig = sign(outcome, kind)
+    return None if sig is None else store.record_if_new(sig, write_case)
 
 
 def report_bug(
@@ -203,17 +211,7 @@ def report_bug(
     (bundle / "seed-ref.txt").write_text("\n".join(seed_lines) + "\n", encoding="utf-8")
 
     (bundle / "signature.json").write_text(
-        json.dumps(
-            {
-                "digest": sig.digest,
-                "kind": sig.kind.value,
-                "payload": sig.payload_dict(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+        json.dumps(sig.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
     script = (
@@ -333,7 +331,6 @@ def _run(
         if novelty is Novelty.DUPLICATE:
             report.duplicate += 1
             return
-        report.interesting += 1
         report.per_seed[result.variant.seed_id]["interesting"] += 1
         report.bundles.append(str(bundle.relative_to(out_dir)))
         corpus.add_entry(result.candidate_text, "fuzzer-feedback")
@@ -363,7 +360,6 @@ def _run(
         )
         stats["sampled"] += 1
         variants = cloze(entry.source_text, entry.id)
-        report.variants_masked += len(variants)
         stats["variants"] += len(variants)
 
         issued_before = issued
@@ -376,7 +372,6 @@ def _run(
                 report.infill_errors += 1
                 logger.warning("infill failed: %s", exc)
                 continue
-            report.candidates_generated += len(results)
             stats["candidates"] += len(results)
             for result in results:
                 settle(max_in_flight - 1)
@@ -410,7 +405,6 @@ def _run(
                 break
 
             entry = corpus.sample(rng)
-            report.seeds_sampled += 1
             idle = 0 if process_seed(entry) else idle + 1
     except HarnessError as exc:
         report.aborted = f"compiler unavailable mid-run: {exc}"
@@ -422,10 +416,15 @@ def _run(
         report.aborted = "interrupted"
         raise
     finally:
-        # the one save, whatever ended the run. Derived, so the tallies
-        # sum to it even when a run is cut between a compile's count
-        # and its journal write
+        # the one save, whatever ended the run. The totals are derived,
+        # so they agree with the tallies they sum even when a run is
+        # cut between a compile's count and its journal write
         report.candidates_compiled = sum(report.outcomes.values())
+        seeds = report.per_seed.values()
+        report.seeds_sampled = sum(stats["sampled"] for stats in seeds)
+        report.variants_masked = sum(stats["variants"] for stats in seeds)
+        report.candidates_generated = sum(stats["candidates"] for stats in seeds)
+        report.interesting = len(report.bundles)
         report.corpus_size_final = len(corpus)
         report.elapsed_seconds = time.monotonic() - started
         report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -32,9 +32,10 @@ from .campaign import (
     report_text,
     run_campaign,
     save_report,
+    sign,
     triage,
 )
-from .corpus import Corpus, CorpusError, load_corpus
+from .corpus import MANIFEST_NAME, Corpus, CorpusError, load_corpus
 from .harness import (
     COMPILER_KINDS,
     CompileOutcome,
@@ -42,12 +43,11 @@ from .harness import (
     HarnessError,
     compile_program,
     ensure_compiler,
-    time_passes,
 )
 from .infill import DEFAULT_SENTINEL, InfillConfig, backend_from_spec
 from .masking import cloze, render
 from .mining import DEFAULT_LABELS, MiningError, harvest
-from .oracle import BugKind, BugStore, BugStoreError, Novelty, classify, signature
+from .oracle import BugStore, BugStoreError, Novelty, classify
 from .spe import (
     ENUMERATION_THRESHOLD,
     SAMPLE_SIZE,
@@ -153,11 +153,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --until timestamp: {args.until}") from exc
     corpus_dir = Path(args.corpus)
-    if (corpus_dir / "manifest.jsonl").is_file():
+    if (corpus_dir / MANIFEST_NAME).is_file():
         corpus = Corpus.open(corpus_dir)
     elif any(corpus_dir.rglob("*.rs")):
         # a new manifest would hide these seeds from every later command
-        raise ConfigError(f"{corpus_dir} holds *.rs seeds but no manifest.jsonl")
+        raise ConfigError(f"{corpus_dir} holds *.rs seeds but no {MANIFEST_NAME}")
     else:
         corpus = Corpus(storage_dir=corpus_dir)
     labels = tuple(x for x in (args.labels or "").split(",") if x) or DEFAULT_LABELS
@@ -231,7 +231,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
 
     if target is not None:
         outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
-        novelty = dict.fromkeys(Novelty, 0)
+        novelty = {found.value: 0 for found in Novelty}
         # as in fuzz, a stop keeps the tallies of the compiles before it
         try:
             for path, text in generated:
@@ -239,18 +239,14 @@ def cmd_spe(args: argparse.Namespace) -> int:
                 # a finding's case is the candidate file already written
                 found = triage(outcome, target, store, outcomes, lambda _sig: path)
                 if found is not None:
-                    novelty[found] += 1
+                    novelty[found.value] += 1
         except HarnessError as exc:
             summary["aborted"] = f"compiler unavailable mid-run: {exc}"
         except (BugStoreError, OSError) as exc:
             summary["aborted"] = f"cannot write findings: {exc}"
         except KeyboardInterrupt:
             summary["aborted"] = "interrupted"
-        summary.update(
-            outcomes,
-            interesting=novelty[Novelty.INTERESTING],
-            duplicate=novelty[Novelty.DUPLICATE],
-        )
+        summary.update(outcomes, **novelty)
 
     summary_text = report_text(summary)
     save_report(out, summary, summary_text)
@@ -296,12 +292,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         artifact_present=False,
     )
     kind = classify(outcome, args.compiler_kind)
-    result = {"kind": kind.value}
-    if kind in (BugKind.ICE, BugKind.HANG):
-        trace = time_passes(outcome) if kind is BugKind.HANG else None
-        sig = signature(outcome, kind, trace)
-        result["digest"] = sig.digest
-        result["payload"] = sig.payload_dict()
+    sig = sign(outcome, kind)
+    result = {"kind": kind.value} if sig is None else sig.to_dict()
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

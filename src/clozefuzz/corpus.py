@@ -33,6 +33,7 @@ PROVENANCES = (
     "glacier",
     "fuzzer-feedback",
     "user-supplied",
+    "augmented",
 )
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -78,8 +79,6 @@ class Corpus:
         self._entries: dict[str, CorpusEntry] = {}
         self._by_hash: dict[str, str] = {}
         self._counter = 0
-        self.skipped_undecodable = 0
-        self.skipped_unreadable = 0
         self.storage_dir = None if storage_dir is None else Path(storage_dir)
         if self.storage_dir is not None:
             self.storage_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +215,7 @@ def load_corpus(root: str | Path) -> Corpus:
     A directory holding a manifest is a managed corpus, opened with
     ``Corpus.open``. Otherwise the ``*.rs`` files under it become
     user-supplied entries of an in-memory corpus; files that fail to
-    read at all or to decode as UTF-8 are skipped with a counter bump.
+    read at all or to decode as UTF-8 are skipped with a warning.
     A missing root is a hard error.
     """
     root = Path(root)
@@ -231,13 +230,11 @@ def load_corpus(root: str | Path) -> Corpus:
         try:
             raw = path.read_bytes()
         except OSError as exc:
-            corpus.skipped_unreadable += 1
             logger.warning("skipping unreadable %s: %s", path, exc)
             continue
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
-            corpus.skipped_undecodable += 1
             logger.warning("skipping undecodable %s", path)
             continue
         corpus.add_entry(text, "user-supplied")

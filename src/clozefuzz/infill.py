@@ -44,14 +44,7 @@ class BackendTransportError(BackendError):
 
 
 class BackendProtocolError(BackendError):
-    """The backend answered with something unusable.
-
-    Carries the offending payload for diagnosis; not retryable.
-    """
-
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
+    """The backend answered with something unusable; not retryable."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +59,6 @@ class CompletionRequest:
         """The variant with the sentinel in its hole, built anew on
         every read."""
         return render(self.variant, self.sentinel)
-
-    @property
-    def original_interior(self) -> str:
-        return self.variant.original_interior
 
 
 @dataclass
@@ -131,7 +120,7 @@ class EchoBackend:
         self.sentinel = sentinel
 
     def complete(self, request: CompletionRequest) -> str:
-        return request.original_interior
+        return request.variant.original_interior
 
 
 class HttpBackend:
@@ -151,7 +140,6 @@ class HttpBackend:
         sentinel: str = DEFAULT_SENTINEL,
         timeout: float = 60.0,
         max_retries: int = 3,
-        session=None,
     ):
         import requests
 
@@ -159,7 +147,7 @@ class HttpBackend:
         self.sentinel = sentinel
         self.timeout = timeout
         self.max_retries = max_retries
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._requests = requests
 
     def complete(self, request: CompletionRequest) -> str:
@@ -177,33 +165,30 @@ class HttpBackend:
 
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
+            # only a retry backs off: nothing follows the last attempt
+            if attempt:
+                time.sleep(min(2 ** (attempt - 1), 8) * 0.1)
             try:
                 resp = self._session.post(
                     self.url, json=body, headers=headers, timeout=self.timeout
                 )
             except self._requests.RequestException as exc:
                 last_error = exc
-                time.sleep(min(2**attempt, 8) * 0.1)
                 continue
             if resp.status_code >= 500:
                 last_error = BackendTransportError(
                     f"backend returned {resp.status_code}"
                 )
-                time.sleep(min(2**attempt, 8) * 0.1)
                 continue
             if resp.status_code != 200:
-                raise BackendProtocolError(
-                    f"backend returned {resp.status_code}", payload=resp.text
-                )
+                raise BackendProtocolError(f"backend returned {resp.status_code}")
             try:
                 data = resp.json()
             except ValueError as exc:
-                raise BackendProtocolError(
-                    "backend response is not JSON", payload=resp.text
-                ) from exc
+                raise BackendProtocolError("backend response is not JSON") from exc
             if not isinstance(data, dict) or not isinstance(data.get("fill"), str):
                 raise BackendProtocolError(
-                    'backend response lacks a string "fill" field', payload=data
+                    'backend response lacks a string "fill" field'
                 )
             return data["fill"]
         raise BackendTransportError(
@@ -289,9 +274,7 @@ def infill(
         try:
             fill.encode("utf-8")
         except UnicodeEncodeError as exc:
-            raise BackendProtocolError(
-                "fill is not encodable as UTF-8", payload=fill
-            ) from exc
+            raise BackendProtocolError("fill is not encodable as UTF-8") from exc
         if fill in seen:
             continue
         seen.add(fill)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import time
@@ -34,7 +35,6 @@ class MiningError(Exception):
 @dataclass
 class IssueRecord:
     number: int
-    title: str
     body: str
     labels: list[str] = field(default_factory=list)
     state: str = "open"
@@ -58,10 +58,24 @@ def _parse_when(value) -> datetime | None:
         return None
 
 
-def _issue_from_dict(data: dict) -> IssueRecord:
+def _issue_from_dict(data, where: str) -> IssueRecord:
+    """One issue record; a malformed one raises MiningError naming ``where``."""
+    try:
+        number = int(data["number"])
+    except (KeyError, TypeError, ValueError):
+        raise MiningError(f"{where}: not an issue object with a number") from None
+    raw_labels = data.get("labels", [])
+    if not isinstance(raw_labels, list):
+        raise MiningError(f"{where}: issue {number} has no label list")
     labels = []
-    for label in data.get("labels", []):
-        labels.append(label["name"] if isinstance(label, dict) else str(label))
+    for label in raw_labels:
+        name = label.get("name") if isinstance(label, dict) else str(label)
+        if not isinstance(name, str):
+            raise MiningError(f"{where}: issue {number} has a nameless label")
+        labels.append(name)
+    body = data.get("body") or ""
+    if not isinstance(body, str):
+        raise MiningError(f"{where}: issue {number} has a body that is not text")
     comments = []
     raw_comments = data.get("comments", [])
     if isinstance(raw_comments, (list, tuple)):
@@ -69,13 +83,12 @@ def _issue_from_dict(data: dict) -> IssueRecord:
         # instead; comment bodies then arrive via comments_url
         for comment in raw_comments:
             if isinstance(comment, dict):
-                comments.append(comment.get("body") or "")
+                comments.append(str(comment.get("body") or ""))
             else:
                 comments.append(str(comment))
     return IssueRecord(
-        number=int(data["number"]),
-        title=data.get("title") or "",
-        body=data.get("body") or "",
+        number=number,
+        body=body,
         labels=labels,
         state=data.get("state") or "open",
         comments=comments,
@@ -115,7 +128,7 @@ def fetch_issues_fixture(
             data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise MiningError(f"bad fixture {path}: {exc}") from exc
-        issue = _issue_from_dict(data)
+        issue = _issue_from_dict(data, str(path))
         if _wanted(issue, labels, state, until):
             yield issue
 
@@ -124,18 +137,25 @@ def _get_json(session, url: str, params, headers, max_retries: int, context: str
     import requests
 
     last_error: Exception | None = None
+    delay = 0.0
     for attempt in range(max_retries):
+        # only a retry waits: nothing follows the last attempt
+        if attempt:
+            time.sleep(delay)
         try:
             resp = session.get(url, params=params, headers=headers, timeout=60)
         except requests.RequestException as exc:
             last_error = exc
-            time.sleep(min(2**attempt, 8) * 0.1)
+            delay = min(2**attempt, 8) * 0.1
             continue
         if resp.status_code in (403, 429):
-            # rate limited; honor Retry-After within reason
-            delay = min(float(resp.headers.get("Retry-After", "1") or 1), 60.0)
-            logger.warning("rate limited at %s; sleeping %.1fs", context, delay)
-            time.sleep(delay)
+            # a Retry-After in seconds, clamped; its date form or junk waits 1 s
+            try:
+                delay = float(resp.headers.get("Retry-After", ""))
+            except ValueError:
+                delay = 1.0
+            delay = min(max(delay, 0.0), 60.0) if math.isfinite(delay) else 1.0
+            logger.warning("rate limited at %s; Retry-After %.1fs", context, delay)
             last_error = MiningError(f"rate limited ({resp.status_code})")
             continue
         if resp.status_code != 200:
@@ -192,9 +212,9 @@ def fetch_issues_http(
         if not items:
             return
         for item in items:
-            if "pull_request" in item:
+            if isinstance(item, dict) and "pull_request" in item:
                 continue
-            record = _issue_from_dict(item)
+            record = _issue_from_dict(item, f"page {page}")
             if item.get("comments") and item.get("comments_url"):
                 comment_items = _get_json(
                     sess,
@@ -204,7 +224,11 @@ def fetch_issues_http(
                     max_retries,
                     f"comments of issue {record.number}",
                 )
-                record.comments = [c.get("body") or "" for c in comment_items]
+                if not isinstance(comment_items, list) or not all(
+                    isinstance(c, dict) for c in comment_items
+                ):
+                    raise MiningError(f"unexpected comment list of issue {record.number}")
+                record.comments = [str(c.get("body") or "") for c in comment_items]
             if _wanted(record, labels, state, until):
                 yield record
         if len(items) < page_size:

@@ -163,6 +163,15 @@ class BugSignature:
     def payload_dict(self) -> dict:
         return json.loads(self.payload)
 
+    def to_dict(self) -> dict:
+        """Digest, kind and payload: a bundle's ``signature.json``, the
+        head of a journal line and ``clozefuzz classify``'s output."""
+        return {
+            "digest": self.digest,
+            "kind": self.kind.value,
+            "payload": self.payload_dict(),
+        }
+
 
 def _digest_payload(payload: dict) -> tuple[str, str]:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -263,9 +272,7 @@ class BugStore:
             return Novelty.DUPLICATE
         case_path = write_case(sig)
         record = {
-            "digest": sig.digest,
-            "kind": sig.kind.value,
-            "payload": sig.payload_dict(),
+            **sig.to_dict(),
             "first_case_path": os.path.relpath(case_path, self.root.parent),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }

@@ -10,7 +10,6 @@ because the downstream oracle only looks for crashes and hangs.
 
 from __future__ import annotations
 
-import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from math import factorial
 from typing import Iterator
 
 from .lexer import Token, TokenKind, lex, significant_tokens
-
-logger = logging.getLogger(__name__)
 
 ENUMERATION_THRESHOLD = 64
 SAMPLE_SIZE = 32

@@ -13,7 +13,7 @@ from clozefuzz.augment import (
     random_delete,
     random_swap,
 )
-from clozefuzz.corpus import Corpus
+from clozefuzz.corpus import Corpus, load_corpus
 from clozefuzz.lexer import TokenKind, lex
 
 
@@ -145,6 +145,19 @@ class TestExport:
         assert [json.loads(ln) for ln in lines] == result.records
         for record in result.records:
             assert (tmp_path / "ft" / record["path"]).is_file()
+
+    def test_export_opens_as_a_corpus(self, tmp_path):
+        cfg = AugmentConfig(target_size=6)
+        result = export_finetune_corpus(seed_corpus(2), cfg, tmp_path / "ft")
+        corpus = load_corpus(tmp_path / "ft")
+        assert len(corpus) == cfg.target_size
+        assert sorted(e.id for e in corpus.entries()) == [
+            f"ft_{i:06d}.rs" for i in range(cfg.target_size)
+        ]
+        assert {e.provenance for e in corpus.entries()} == {"augmented"}
+        assert [corpus.get(r["id"]).content_hash for r in result.records] == [
+            r["hash"] for r in result.records
+        ]
 
     def test_two_runs_byte_identical(self, tmp_path):
         cfg = AugmentConfig(target_size=60, seed=3)

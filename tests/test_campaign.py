@@ -108,6 +108,13 @@ class TestArithmetic:
             s["candidates"] for s in report.per_seed.values()
         )
         assert per_seed_candidates == report.candidates_generated
+        assert report.seeds_sampled == sum(
+            s["sampled"] for s in report.per_seed.values()
+        )
+        assert report.variants_masked == sum(
+            s["variants"] for s in report.per_seed.values()
+        )
+        assert report.interesting == len(report.bundles)
 
     def test_report_files_written(self, corpus_dir, tmp_path, trigger_compiler):
         cfg = make_config(corpus_dir, tmp_path, trigger_compiler, ["safe()"], budget=3)

@@ -319,6 +319,36 @@ class TestMineCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"title": "no number", "body": "```rust\nfn f() {}\n```"},
+            [{"number": 2}],
+            {"number": 2, "labels": [{"color": "red"}]},
+            {"number": 2, "labels": 5},
+            {"number": 2, "body": 5},
+        ],
+        ids=[
+            "no-number", "not-an-object", "nameless-label", "labels-not-a-list",
+            "body-not-text",
+        ],
+    )
+    def test_a_malformed_record_is_environmental(
+        self, fixture_dir, record, tmp_path, capsys
+    ):
+        bad = fixture_dir / "2.json"
+        bad.write_text(json.dumps(record), encoding="utf-8")
+        corpus_dir = tmp_path / "mined"
+        rc = main(
+            ["mine", "--corpus", str(corpus_dir), "--fixture-dir", str(fixture_dir)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err
+        # 1.json, read before the bad record, stays harvested
+        assert len(Corpus.open(corpus_dir)) == 1
+
     def test_bad_until_timestamp(self, fixture_dir, tmp_path):
         rc = main(
             [
@@ -668,6 +698,28 @@ class TestDebugCommands:
             err = capsys.readouterr().err
             assert err.startswith("error: cannot read")
             assert ghost in err
+
+    @pytest.mark.parametrize(
+        "body, flags",
+        [(ICE_BODY, ["--exit-status", "101"]), (TIMEPASS_HANG_BODY, ["--timed-out"])],
+        ids=["ice", "hang"],
+    )
+    def test_classify_signs_a_bundle_as_its_campaign_did(
+        self, body, flags, corpus_dir, mock_script, scripted, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        args = fuzz_args(
+            corpus_dir, scripted("cc", body), mock_script, out,
+            "--budget-candidates", "1", "--skip-preflight", "--timeout", "0.5",
+        )
+        assert main(args) == 0
+        [bundle] = json.loads((out / "report.json").read_text())["bundles"]
+        capsys.readouterr()
+        stderr = out / bundle / "stderr.txt"
+        argv = ["classify", "--compiler-kind", "scripted-fake", "--stderr", str(stderr)]
+        assert main(argv + flags) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads((out / bundle / "signature.json").read_text())
 
     def test_classify_ice_hang_and_pass(self, tmp_path, capsys):
         stderr_file = tmp_path / "stderr.txt"

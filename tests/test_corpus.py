@@ -106,7 +106,7 @@ def test_sampling_empty_corpus_raises():
         Corpus().sample(random.Random(0))
 
 
-def test_load_corpus_from_directories(tmp_path):
+def test_load_corpus_from_directories(tmp_path, caplog):
     nested = tmp_path / "b" / "nested"
     nested.mkdir(parents=True)
     (tmp_path / "one.rs").write_text("fn one() {}")
@@ -119,7 +119,8 @@ def test_load_corpus_from_directories(tmp_path):
     corpus = load_corpus(tmp_path)
     texts = {e.source_text for e in corpus.entries()}
     assert texts == {"fn one() {}", "fn two() {}", "fn top() {}"}
-    assert corpus.skipped_undecodable == 1
+    skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    assert skipped == [f"skipping undecodable {tmp_path / 'bad.rs'}"]
     assert {e.provenance for e in corpus.entries()} == {"user-supplied"}
 
 

@@ -93,7 +93,7 @@ def test_candidate_keeps_delimiters_and_request_carries_sentinel():
     request = backend.calls[0]
     assert request.sentinel == DEFAULT_SENTINEL
     assert DEFAULT_SENTINEL in request.masked_text
-    assert request.original_interior == variant.original_interior
+    assert request.variant.original_interior == variant.original_interior
     assert request.max_tokens == cfg.max_fill_tokens
     for r in results:
         # splice point sits between the original open/close delimiters
@@ -239,7 +239,7 @@ def _request(temp=0.8):
 def test_request_is_a_view_of_its_variant():
     request = _request()
     assert request.masked_text == "fn main() {<infill>}"
-    assert request.original_interior == ""
+    assert request.variant.original_interior == ""
     # rendered on every read, never kept
     assert request.masked_text is not request.masked_text
     assert "masked_text" not in vars(request)
@@ -283,6 +283,17 @@ def test_http_backend_retries_server_errors(http_service):
     backend = HttpBackend(url, max_retries=3)
     assert backend.complete(_request()) == "recovered"
     assert len(handler.received) == 2
+
+
+def test_http_backend_backs_off_only_before_a_retry(http_service, monkeypatch):
+    url, handler = http_service
+    handler.script = [(503, b"busy", "text/plain")] * 3
+    sleeps = []
+    monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
+    with pytest.raises(BackendTransportError):
+        HttpBackend(url, max_retries=3).complete(_request())
+    assert len(handler.received) == 3
+    assert sleeps == [0.1, 0.2]
 
 
 def test_http_backend_client_error_is_protocol_error(http_service):

@@ -18,7 +18,7 @@ from clozefuzz.mining import (
 
 def issue(body="", comments=(), number=1, labels=("C-bug", "T-compiler")):
     return IssueRecord(
-        number=number, title="t", body=body, labels=list(labels), comments=list(comments)
+        number=number, body=body, labels=list(labels), comments=list(comments)
     )
 
 
@@ -294,6 +294,52 @@ class TestHttpFetch:
         session = StubSession(script)
         assert list(fetch_issues_http("o/r", session=session)) == []
         assert len(session.requests) == 2
+
+    @pytest.mark.parametrize(
+        "retry_after, delay",
+        [("Wed, 21 Oct 2015 07:28:00 GMT", 1.0), ("-5", 0.0), ("nan", 1.0)],
+    )
+    def test_retry_after_is_a_bounded_number_of_seconds(
+        self, retry_after, delay, monkeypatch
+    ):
+        sleeps = []
+        monkeypatch.setattr("clozefuzz.mining.time.sleep", sleeps.append)
+        script = [
+            (page_is(1), StubResponse(429, headers={"Retry-After": retry_after})),
+            (page_is(1), StubResponse(200, [])),
+        ]
+        assert list(fetch_issues_http("o/r", session=StubSession(script))) == []
+        assert sleeps == [delay]
+
+    def test_no_sleep_after_the_last_attempt(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("clozefuzz.mining.time.sleep", sleeps.append)
+        limited = StubResponse(429, headers={"Retry-After": "7"})
+        session = StubSession([(page_is(1), limited)] * 3)
+        with pytest.raises(MiningError, match="after 3 attempts"):
+            list(fetch_issues_http("o/r", session=session, max_retries=3))
+        assert len(session.requests) == 3
+        assert sleeps == [7.0, 7.0]
+
+    def test_a_malformed_item_names_its_page(self):
+        session = StubSession([(page_is(1), StubResponse(200, [[1, 2]]))])
+        with pytest.raises(MiningError, match="page 1"):
+            list(fetch_issues_http("o/r", session=session))
+
+    def test_a_malformed_comment_list_is_a_mining_error(self):
+        comments_url = "https://api.example/repos/o/r/issues/4/comments"
+        script = [
+            (
+                page_is(1),
+                StubResponse(200, [api_issue(4, "", comments=1, comments_url=comments_url)]),
+            ),
+            (
+                lambda url, params: url == comments_url,
+                StubResponse(200, {"message": "Not Found"}),
+            ),
+        ]
+        with pytest.raises(MiningError, match="comment list of issue 4"):
+            list(fetch_issues_http("o/r", session=StubSession(script)))
 
     def test_http_error_carries_page_context(self):
         session = StubSession([(page_is(1), StubResponse(404))])
