@@ -108,6 +108,16 @@ class ExportResult:
     reached_target: bool
 
 
+def _lists_only_exports(manifest: Path) -> bool:
+    """Whether every line of a manifest is an ``augmented`` entry."""
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    try:
+        rows = [json.loads(line) for line in lines]
+    except ValueError:
+        return False
+    return all(isinstance(r, dict) and r.get("provenance") == "augmented" for r in rows)
+
+
 def export_finetune_corpus(
     corpus: Corpus, cfg: AugmentConfig, out_dir: str | Path
 ) -> ExportResult:
@@ -118,6 +128,8 @@ def export_finetune_corpus(
     All dedup happens on normalized content hashes. Generation is
     deterministic: every variant's rng is seeded from (global seed,
     parent id, attempt index), so reruns produce identical bytes.
+    An output directory whose manifest lists anything but an earlier
+    export's entries is a corpus, refused before anything is written.
     """
     if cfg.target_size < len(corpus):
         raise ValueError(
@@ -128,6 +140,9 @@ def export_finetune_corpus(
         raise ValueError("cannot augment an empty corpus")
 
     out = Path(out_dir)
+    manifest = out / MANIFEST_NAME
+    if manifest.is_file() and not _lists_only_exports(manifest):
+        raise ValueError(f"{out} holds a corpus, not an earlier export")
     out.mkdir(parents=True, exist_ok=True)
     records: list[dict] = []
     seen: set[str] = set()
@@ -178,7 +193,6 @@ def export_finetune_corpus(
             len(records),
             cfg.target_size,
         )
-    manifest = out / MANIFEST_NAME
     with manifest.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -2,27 +2,26 @@
 
 Two sources share one record shape: a directory of JSON fixtures (the
 default in tests, never touches the network) and the live issue API of
-a hosted repository. Snippet extraction understands backtick and tilde
-fences with an optional info-string; only blocks marked rust-ish or
-not marked at all are kept.
+a hosted repository. The API is read through ``infill.request_json``,
+so mining retries under the completion backend's one policy, and a
+fetch that fails after it is a ``MiningError`` naming its page or
+issue. Snippet extraction understands backtick and tilde fences with
+an optional info-string; only blocks marked rust-ish or not marked at
+all are kept.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import math
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .corpus import Corpus
-
-logger = logging.getLogger(__name__)
+from .infill import BackendError, request_json
 
 DEFAULT_LABELS = ("C-bug", "T-compiler")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -133,38 +132,11 @@ def fetch_issues_fixture(
             yield issue
 
 
-def _get_json(session, url: str, params, headers, max_retries: int, context: str):
-    import requests
-
-    last_error: Exception | None = None
-    delay = 0.0
-    for attempt in range(max_retries):
-        # only a retry waits: nothing follows the last attempt
-        if attempt:
-            time.sleep(delay)
-        try:
-            resp = session.get(url, params=params, headers=headers, timeout=60)
-        except requests.RequestException as exc:
-            last_error = exc
-            delay = min(2**attempt, 8) * 0.1
-            continue
-        if resp.status_code in (403, 429):
-            # a Retry-After in seconds, clamped; its date form or junk waits 1 s
-            try:
-                delay = float(resp.headers.get("Retry-After", ""))
-            except ValueError:
-                delay = 1.0
-            delay = min(max(delay, 0.0), 60.0) if math.isfinite(delay) else 1.0
-            logger.warning("rate limited at %s; Retry-After %.1fs", context, delay)
-            last_error = MiningError(f"rate limited ({resp.status_code})")
-            continue
-        if resp.status_code != 200:
-            raise MiningError(f"fetch failed at {context}: HTTP {resp.status_code}")
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise MiningError(f"non-JSON response at {context}") from exc
-    raise MiningError(f"fetch failed at {context} after {max_retries} attempts: {last_error}")
+def _get_json(session, url: str, context: str, **kwargs):
+    try:
+        return request_json(session, "GET", url, timeout=60, **kwargs)
+    except BackendError as exc:
+        raise MiningError(f"fetch failed at {context}: {exc}") from exc
 
 
 def fetch_issues_http(
@@ -200,12 +172,8 @@ def fetch_issues_http(
             "page": page,
         }
         items = _get_json(
-            sess,
-            f"{base_url}/repos/{repo}/issues",
-            params,
-            headers,
-            max_retries,
-            f"page {page}",
+            sess, f"{base_url}/repos/{repo}/issues", f"page {page}",
+            attempts=max_retries, params=params, headers=headers,
         )
         if not isinstance(items, list):
             raise MiningError(f"unexpected issue list shape at page {page}")
@@ -217,12 +185,9 @@ def fetch_issues_http(
             record = _issue_from_dict(item, f"page {page}")
             if item.get("comments") and item.get("comments_url"):
                 comment_items = _get_json(
-                    sess,
-                    item["comments_url"],
-                    {"per_page": page_size},
-                    headers,
-                    max_retries,
-                    f"comments of issue {record.number}",
+                    sess, item["comments_url"], f"comments of issue {record.number}",
+                    attempts=max_retries, headers=headers,
+                    params={"per_page": page_size},
                 )
                 if not isinstance(comment_items, list) or not all(
                     isinstance(c, dict) for c in comment_items

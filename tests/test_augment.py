@@ -181,6 +181,24 @@ class TestExport:
         with pytest.raises(ValueError):
             export_finetune_corpus(Corpus(), AugmentConfig(), tmp_path / "ft")
 
+    def test_a_managed_corpus_is_refused_as_output(self, tmp_path):
+        managed = Corpus(tmp_path / "m")
+        managed.add_entry("fn main() { let a = 1; let b = 2; }\n", "issue-mined")
+        manifest = tmp_path / "m" / "manifest.jsonl"
+        before = manifest.read_bytes()
+        with pytest.raises(ValueError, match="holds a corpus"):
+            export_finetune_corpus(managed, AugmentConfig(target_size=3), tmp_path / "m")
+        assert manifest.read_bytes() == before
+        assert not list((tmp_path / "m").glob("ft_*"))
+
+    def test_an_earlier_export_is_overwritten(self, tmp_path):
+        export_finetune_corpus(seed_corpus(2), AugmentConfig(target_size=6), tmp_path / "ft")
+        result = export_finetune_corpus(
+            seed_corpus(3), AugmentConfig(target_size=4, seed=1), tmp_path / "ft"
+        )
+        lines = (tmp_path / "ft" / "manifest.jsonl").read_text().splitlines()
+        assert [json.loads(ln) for ln in lines] == result.records
+
     def test_degenerate_corpus_stalls_gracefully(self, tmp_path):
         corpus = Corpus()
         corpus.add_entry("x", "test-suite")  # one token: no variants possible

@@ -25,7 +25,13 @@ from clozefuzz.campaign import (
 )
 from clozefuzz.corpus import Corpus, CorpusError
 from clozefuzz.harness import CompilerConfig, HarnessError
-from clozefuzz.infill import EchoBackend, InfillConfig, MockBackend
+from clozefuzz.infill import (
+    EchoBackend,
+    HttpBackend,
+    InfillConfig,
+    MockBackend,
+    ReplayBackend,
+)
 from clozefuzz.oracle import BugStore, BugStoreError
 
 SEED_MAIN = "fn main() { helper(1); }\n"
@@ -519,6 +525,43 @@ class TestFailureModes:
         assert report.candidates_compiled == 6
         assert report.outcomes["ice"] >= 1
         assert report.outcomes["pass"] >= 1
+
+    def test_a_dead_http_backend_counts_infill_errors(
+        self, corpus_dir, tmp_path, trigger_compiler
+    ):
+        # nothing listens on the discard port, so every connect is refused
+        backend = HttpBackend("http://127.0.0.1:9/complete", max_retries=1)
+        cfg = CampaignConfig(
+            corpus_dir=corpus_dir,
+            out_dir=tmp_path / "out",
+            compilers=[trigger_compiler],
+            infill=InfillConfig(backend=backend),
+            budget_candidates=6,
+        )
+        report = run_campaign(cfg)
+        assert report.aborted is None
+        assert report.candidates_compiled == 0
+        assert report.infill_errors == report.variants_masked > 0
+
+    def test_a_torn_replay_entry_with_nothing_to_ask_is_an_infill_error(
+        self, corpus_dir, tmp_path, trigger_compiler
+    ):
+        cache = tmp_path / "cache"
+        recording = make_config(corpus_dir, tmp_path, trigger_compiler, ["x"])
+        recording.infill.backend = ReplayBackend(
+            cache, inner=MockBackend(["ok_one()", "0xBUG boom()"])
+        )
+        assert run_campaign(recording).infill_errors == 0
+        # the replay asks what the recording asked, in the same order,
+        # up to the torn entry
+        sorted(cache.iterdir())[0].write_text('{"fi', encoding="utf-8")
+        replaying = make_config(
+            corpus_dir, tmp_path / "again", trigger_compiler, ["x"]
+        )
+        replaying.infill.backend = ReplayBackend(cache)
+        report = run_campaign(replaying)
+        assert report.aborted is None
+        assert report.infill_errors >= 1
 
     def test_compiler_vanishing_mid_run_stops_gracefully(
         self, corpus_dir, tmp_path, scripted

@@ -375,6 +375,32 @@ class TestAugmentCommand:
         assert "exported 8 programs" in capsys.readouterr().out
         assert len(list((tmp_path / "ft").glob("ft_*.rs"))) == 8
 
+    def test_out_may_not_be_a_managed_corpus(self, tmp_path, capsys):
+        issues = tmp_path / "issues"
+        issues.mkdir()
+        (issues / "1.json").write_text(
+            json.dumps(
+                {
+                    "number": 1,
+                    "labels": ["C-bug", "T-compiler"],
+                    "state": "closed",
+                    "body": "```rust\nfn main() { let a = 1; let b = 2; }\n```",
+                }
+            ),
+            encoding="utf-8",
+        )
+        mined = tmp_path / "m"
+        assert main(["mine", "--corpus", str(mined), "--fixture-dir", str(issues)]) == 0
+        before = _tree(mined)
+        capsys.readouterr()
+        argv = [
+            "augment", "--corpus", str(mined), "--out", str(mined), "--target-size", "3"
+        ]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "holds a corpus" in lines[0]
+        assert _tree(mined) == before
+
     def test_target_smaller_than_corpus(self, corpus_dir, tmp_path):
         rc = main(
             [
@@ -953,6 +979,42 @@ class TestConfigFile:
             tmp_path, corpus_dir, trigger_bin, mock_script, max_fill_tokens=12
         ) == 0
         assert [cfg.infill.max_fill_tokens for cfg in captured] == [256, 12]
+
+    def test_sentinel_reaches_a_replay_backend_and_its_inner_one(
+        self, tmp_path, corpus_dir, trigger_bin, captured
+    ):
+        script = tmp_path / "replay.json"
+        script.write_text(
+            json.dumps(
+                {
+                    "kind": "replay",
+                    "cache_dir": str(tmp_path / "cache"),
+                    "inner": {"kind": "mock", "fills": ["x"]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = fuzz_args(
+            corpus_dir, trigger_bin, script, tmp_path / "out",
+            "--budget-candidates", "2", "--sentinel", "<FILL>",
+        )
+        assert main(argv) == 0
+        backend = captured[0].infill.backend
+        assert backend.sentinel == backend.inner.sentinel == "<FILL>"
+
+    @pytest.mark.parametrize("fills", ["abc", [1, 2], []])
+    def test_bad_mock_fills_are_a_config_error(
+        self, tmp_path, corpus_dir, trigger_bin, captured, capsys, fills
+    ):
+        script = tmp_path / "mock.json"
+        script.write_text(json.dumps({"kind": "mock", "fills": fills}), encoding="utf-8")
+        argv = fuzz_args(
+            corpus_dir, trigger_bin, script, tmp_path / "out", "--budget-candidates", "2"
+        )
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: mock backend needs a non-empty list of string fills"]
+        assert captured == []
 
     def test_keys_that_name_no_fuzz_option_are_ignored(
         self, tmp_path, corpus_dir, trigger_bin, mock_script, captured

@@ -11,8 +11,7 @@ import pytest
 from clozefuzz.brackets import BracketKind
 from clozefuzz.infill import (
     DEFAULT_SENTINEL,
-    BackendProtocolError,
-    BackendTransportError,
+    BackendError,
     CompletionRequest,
     EchoBackend,
     HttpBackend,
@@ -22,7 +21,7 @@ from clozefuzz.infill import (
     backend_from_spec,
     infill,
 )
-from clozefuzz.masking import cloze
+from clozefuzz.masking import cloze, render
 
 PLAIN = "fn main() { let x = compute(); }"
 GATED = "#![feature(unsize, coerce_unsized)]\nfn main() {}"
@@ -91,8 +90,7 @@ def test_candidate_keeps_delimiters_and_request_carries_sentinel():
     variant = pick_variant(PLAIN, special=False)
     results = infill(variant, cfg, random.Random(0))
     request = backend.calls[0]
-    assert request.sentinel == DEFAULT_SENTINEL
-    assert DEFAULT_SENTINEL in request.masked_text
+    assert DEFAULT_SENTINEL in render(request.variant, backend.sentinel)
     assert request.variant.original_interior == variant.original_interior
     assert request.max_tokens == cfg.max_fill_tokens
     for r in results:
@@ -124,7 +122,7 @@ def test_request_log_keeps_no_copy_of_the_seed():
     assert grown < 4_000_000
 
 
-def test_transport_errors_skip_the_attempt():
+def test_a_backend_error_ends_the_variant():
     class Flaky:
         backend_id = "flaky"
         sentinel = DEFAULT_SENTINEL
@@ -135,13 +133,28 @@ def test_transport_errors_skip_the_attempt():
         def complete(self, request):
             self.n += 1
             if self.n == 1:
-                raise BackendTransportError("link down")
+                raise BackendError("link down")
             return f"ok_{self.n}"
 
     variant = pick_variant(GATED, special=True)
-    cfg = InfillConfig(backend=Flaky(), time_max=3)
-    results = infill(variant, cfg, random.Random(0))
-    assert [r.candidate_text.count("ok_") for r in results] == [1, 1]
+    backend = Flaky()
+    with pytest.raises(BackendError, match="link down"):
+        infill(variant, InfillConfig(backend=backend, time_max=3), random.Random(0))
+    assert backend.n == 1  # no later attempt is made
+
+
+@pytest.mark.parametrize("fill", [1, None, b"bytes"])
+def test_a_fill_that_is_not_text_is_a_backend_error(fill):
+    class Odd:
+        backend_id = "odd"
+        sentinel = DEFAULT_SENTINEL
+
+        def complete(self, request):
+            return fill
+
+    variant = pick_variant(PLAIN, special=False)
+    with pytest.raises(BackendError, match="not text"):
+        infill(variant, InfillConfig(backend=Odd()), random.Random(0))
 
 
 def test_protocol_errors_propagate():
@@ -150,11 +163,11 @@ def test_protocol_errors_propagate():
         sentinel = DEFAULT_SENTINEL
 
         def complete(self, request):
-            raise BackendProtocolError("garbled")
+            raise BackendError("garbled")
 
     variant = pick_variant(PLAIN, special=False)
     cfg = InfillConfig(backend=Broken())
-    with pytest.raises(BackendProtocolError):
+    with pytest.raises(BackendError):
         infill(variant, cfg, random.Random(0))
 
 
@@ -162,7 +175,7 @@ def test_a_fill_not_encodable_as_utf8_is_a_protocol_error():
     # JSON decodes a lone surrogate to a str that UTF-8 cannot encode
     backend = MockBackend([json.loads('"\\ud800"')])
     variant = pick_variant(PLAIN, special=False)
-    with pytest.raises(BackendProtocolError):
+    with pytest.raises(BackendError):
         infill(variant, InfillConfig(backend=backend), random.Random(0))
 
 
@@ -185,7 +198,7 @@ def test_config_validation():
 
 
 class _Handler(BaseHTTPRequestHandler):
-    script = []  # list of (status, body_bytes, content_type)
+    script = []  # list of (status, body_bytes, content_type, *extra_headers)
     received = []
 
     def do_POST(self):
@@ -199,11 +212,14 @@ class _Handler(BaseHTTPRequestHandler):
             }
         )
         if type(self).script:
-            status, payload, ctype = type(self).script.pop(0)
+            status, payload, ctype, *extra = type(self).script.pop(0)
         else:
             status, payload, ctype = 200, b'{"fill": "default"}', "application/json"
+            extra = []
         self.send_response(status)
         self.send_header("Content-Type", ctype)
+        for name, value in extra:
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
@@ -228,21 +244,16 @@ def http_service():
 def _request(temp=0.8):
     # the body of `fn main() {}`, which renders to `fn main() {<infill>}`
     body = next(v for v in cloze("fn main() {}") if v.span.kind is BracketKind.BRACE)
-    return CompletionRequest(
-        variant=body,
-        sentinel="<infill>",
-        temperature=temp,
-        max_tokens=64,
-    )
+    return CompletionRequest(variant=body, temperature=temp, max_tokens=64)
 
 
 def test_request_is_a_view_of_its_variant():
     request = _request()
-    assert request.masked_text == "fn main() {<infill>}"
+    assert render(request.variant, DEFAULT_SENTINEL) == "fn main() {<infill>}"
     assert request.variant.original_interior == ""
-    # rendered on every read, never kept
-    assert request.masked_text is not request.masked_text
-    assert "masked_text" not in vars(request)
+    # a backend renders the masked text with its own sentinel; the
+    # request keeps none
+    assert set(vars(request)) == {"variant", "temperature", "max_tokens"}
 
 
 def test_http_backend_wire_format(http_service, monkeypatch):
@@ -290,32 +301,45 @@ def test_http_backend_backs_off_only_before_a_retry(http_service, monkeypatch):
     handler.script = [(503, b"busy", "text/plain")] * 3
     sleeps = []
     monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
-    with pytest.raises(BackendTransportError):
+    with pytest.raises(BackendError, match="after 3 attempts: HTTP 503"):
         HttpBackend(url, max_retries=3).complete(_request())
     assert len(handler.received) == 3
     assert sleeps == [0.1, 0.2]
 
 
+def test_http_backend_waits_out_a_rate_limit(http_service, monkeypatch):
+    url, handler = http_service
+    handler.script = [
+        (429, b"slow down", "text/plain", ("Retry-After", "7")),
+        (200, b'{"fill": "patient"}', "application/json"),
+    ]
+    sleeps = []
+    monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
+    assert HttpBackend(url, max_retries=2).complete(_request()) == "patient"
+    assert len(handler.received) == 2
+    assert sleeps == [7.0]
+
+
 def test_http_backend_client_error_is_protocol_error(http_service):
     url, handler = http_service
     handler.script = [(400, b"bad request", "text/plain")]
-    with pytest.raises(BackendProtocolError):
+    with pytest.raises(BackendError):
         HttpBackend(url).complete(_request())
 
 
 def test_http_backend_rejects_non_json_and_missing_fill(http_service):
     url, handler = http_service
     handler.script = [(200, b"<html>hi</html>", "text/html")]
-    with pytest.raises(BackendProtocolError):
+    with pytest.raises(BackendError):
         HttpBackend(url).complete(_request())
     handler.script = [(200, b'{"completion": "wrong key"}', "application/json")]
-    with pytest.raises(BackendProtocolError):
+    with pytest.raises(BackendError):
         HttpBackend(url).complete(_request())
 
 
 def test_http_backend_unreachable_is_transport_error():
     backend = HttpBackend("http://127.0.0.1:9/complete", max_retries=2, timeout=0.5)
-    with pytest.raises(BackendTransportError):
+    with pytest.raises(BackendError):
         backend.complete(_request())
 
 
@@ -345,8 +369,28 @@ def test_replay_key_is_unchanged(tmp_path):
 
 def test_replay_miss_without_inner_raises(tmp_path):
     offline = ReplayBackend(tmp_path / "cache")
-    with pytest.raises(BackendProtocolError):
+    with pytest.raises(BackendError):
         offline.complete(_request())
+
+
+@pytest.mark.parametrize("torn", ['{"fi', '{"other": 1}', "[]", ""])
+def test_a_torn_replay_entry_is_asked_again_and_rewritten(tmp_path, torn):
+    inner = MockBackend(["fresh fill"])
+    backend = ReplayBackend(tmp_path / "cache", inner=inner)
+    entry = backend._key_path(_request())
+    entry.write_text(torn, encoding="utf-8")
+    assert backend.complete(_request()) == "fresh fill"
+    assert len(inner.calls) == 1
+    assert json.loads(entry.read_text(encoding="utf-8")) == {"fill": "fresh fill"}
+    # written through a temporary file that is renamed into place
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [entry.name]
+
+
+def test_a_torn_replay_entry_without_inner_is_a_backend_error(tmp_path):
+    backend = ReplayBackend(tmp_path / "cache")
+    backend._key_path(_request()).write_text('{"fi', encoding="utf-8")
+    with pytest.raises(BackendError, match="no recorded completion"):
+        backend.complete(_request())
 
 
 def test_replay_key_varies_with_temperature_bucket(tmp_path):
@@ -371,8 +415,29 @@ def test_backend_from_spec_shapes(tmp_path):
     for bad in (
         {"kind": "zeppelin"},
         {"kind": "http"},
+        {"kind": "http", "url": "http://x/y", "max_retries": 0},
         {"kind": "replay"},
         {"kind": "mock"},
+        {"kind": "mock", "fills": []},
+        {"kind": "mock", "fills": "abc"},
+        {"kind": "mock", "fills": [1, 2]},
+        {"kind": "mock", "fills": ["ok", None]},
     ):
         with pytest.raises(ValueError):
             backend_from_spec(bad)
+
+
+def test_a_replay_spec_gives_its_sentinel_to_its_inner_backend(tmp_path):
+    spec = {
+        "kind": "replay",
+        "cache_dir": str(tmp_path / "cache"),
+        "sentinel": "<FILL>",
+        "inner": {"kind": "mock", "fills": ["x"]},
+    }
+    replay = backend_from_spec(spec)
+    assert replay.sentinel == replay.inner.sentinel == "<FILL>"
+    default = backend_from_spec({**spec, "sentinel": DEFAULT_SENTINEL})
+    replay.complete(_request())
+    # what is keyed is what the sentinel renders, so the two differ
+    assert default._key_path(_request()).name != replay._key_path(_request()).name
+    assert replay._key_path(_request()).is_file()

@@ -226,7 +226,8 @@ class StubSession:
         self.script = script  # list of (matcher, response) consumed in order
         self.requests = []
 
-    def get(self, url, params=None, headers=None, timeout=None):
+    def request(self, method, url, params=None, headers=None, timeout=None):
+        assert method == "GET"
         self.requests.append({"url": url, "params": params, "headers": headers})
         for i, (matcher, response) in enumerate(self.script):
             if matcher(url, params or {}):
@@ -303,7 +304,7 @@ class TestHttpFetch:
         self, retry_after, delay, monkeypatch
     ):
         sleeps = []
-        monkeypatch.setattr("clozefuzz.mining.time.sleep", sleeps.append)
+        monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
         script = [
             (page_is(1), StubResponse(429, headers={"Retry-After": retry_after})),
             (page_is(1), StubResponse(200, [])),
@@ -313,13 +314,34 @@ class TestHttpFetch:
 
     def test_no_sleep_after_the_last_attempt(self, monkeypatch):
         sleeps = []
-        monkeypatch.setattr("clozefuzz.mining.time.sleep", sleeps.append)
+        monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
         limited = StubResponse(429, headers={"Retry-After": "7"})
         session = StubSession([(page_is(1), limited)] * 3)
         with pytest.raises(MiningError, match="after 3 attempts"):
             list(fetch_issues_http("o/r", session=session, max_retries=3))
         assert len(session.requests) == 3
         assert sleeps == [7.0, 7.0]
+
+    def test_a_server_error_is_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
+        script = [
+            (page_is(1), StubResponse(502)),
+            (page_is(1), StubResponse(200, [api_issue(1, "")])),
+        ]
+        session = StubSession(script)
+        assert [i.number for i in fetch_issues_http("o/r", session=session)] == [1]
+        assert len(session.requests) == 2
+        assert sleeps == [0.1]
+
+    def test_a_403_without_retry_after_fails_at_once(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("clozefuzz.infill.time.sleep", sleeps.append)
+        session = StubSession([(page_is(1), StubResponse(403))] * 3)
+        with pytest.raises(MiningError, match="page 1: HTTP 403"):
+            list(fetch_issues_http("o/r", session=session))
+        assert len(session.requests) == 1
+        assert sleeps == []
 
     def test_a_malformed_item_names_its_page(self):
         session = StubSession([(page_is(1), StubResponse(200, [[1, 2]]))])

@@ -52,19 +52,23 @@ def test_the_check_sees_an_unused_import():
 def test_the_package_root_loads_every_module_but_the_cli():
     code = (
         "import sys, clozefuzz\n"
-        "print(sorted(m for m in sys.modules if m.startswith('clozefuzz.')))"
+        "print(sorted(m for m in sys.modules if m.startswith('clozefuzz.')))\n"
+        "print('requests' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(clozefuzz.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert ast.literal_eval(out) == [
+    modules, requests_loaded = out.splitlines()
+    assert ast.literal_eval(modules) == [
         f"clozefuzz.{name}"
         for name in (
             "augment", "brackets", "campaign", "corpus", "harness", "infill",
             "lexer", "masking", "mining", "oracle", "spe",
         )
     ]
+    # loading it would add megabytes to every run that never sends a request
+    assert requests_loaded == "False"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
