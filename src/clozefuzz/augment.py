@@ -128,8 +128,9 @@ def export_finetune_corpus(
     All dedup happens on normalized content hashes. Generation is
     deterministic: every variant's rng is seeded from (global seed,
     parent id, attempt index), so reruns produce identical bytes.
-    An output directory whose manifest lists anything but an earlier
-    export's entries is a corpus, refused before anything is written.
+    An output directory that holds a corpus is refused before anything
+    is written: one whose manifest lists anything but an earlier
+    export's entries, or one with ``*.rs`` seeds and no manifest.
     """
     if cfg.target_size < len(corpus):
         raise ValueError(
@@ -141,7 +142,11 @@ def export_finetune_corpus(
 
     out = Path(out_dir)
     manifest = out / MANIFEST_NAME
-    if manifest.is_file() and not _lists_only_exports(manifest):
+    if manifest.is_file():
+        holds_corpus = not _lists_only_exports(manifest)
+    else:
+        holds_corpus = any(out.glob("*.rs"))
+    if holds_corpus:
         raise ValueError(f"{out} holds a corpus, not an earlier export")
     out.mkdir(parents=True, exist_ok=True)
     records: list[dict] = []

@@ -1,8 +1,35 @@
 from __future__ import annotations
 
 import textwrap
+import time
 
 import pytest
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_cache(tmp_path_factory):
+    """Build the fork server's shim and keep its verdicts in a cache
+    directory of this session's, not the user's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+def dead(pid: int, within: float = 2.0) -> bool:
+    """Whether ``pid`` is gone or a zombie within ``within`` seconds:
+    an orphan killed here may wait for a reaper that never comes."""
+    give_up = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > give_up:
+            return False
+        time.sleep(0.02)
+
 
 # fake compiler scripts; each treats its last argument as the source
 # file so default flags can ride along untouched
@@ -94,21 +121,21 @@ def scripted(tmp_path):
 def rustup_layout(tmp_path):
     """Factory for a fake rustup install under tmp_path.
 
-    ``bin/rustup`` is a script and ``bin/rustc`` a symlink to it, as
-    rustup installs its proxies; ``toolchain/bin/rustc`` runs ``body``.
+    ``bin/rustup`` is a script and ``bin/<name>`` a symlink to it, as
+    rustup installs its proxies; ``toolchain/bin/<name>`` runs ``body``.
     Every process appends one line to the returned log: the proxy's
     sysroot probe ``probe CWD ARGS``, any other proxy run ``proxy
-    ARGS``, and the toolchain rustc ``$0 ARGS``. ``probe_exit`` is the
+    ARGS``, and the toolchain binary ``$0 ARGS``. ``probe_exit`` is the
     probe's exit status; ``toolchain_rustc=False`` leaves the sysroot
-    without ``bin/rustc``. Returns ``(proxy path, log path, toolchain
-    rustc path)``.
+    without ``bin/<name>``. Returns ``(proxy path, log path, toolchain
+    binary path)``.
     """
 
-    def make(body=OK_BODY, probe_exit=0, toolchain_rustc=True):
+    def make(body=OK_BODY, probe_exit=0, toolchain_rustc=True, name="rustc"):
         log = tmp_path / "calls.log"
         sysroot = tmp_path / "toolchain"
         (sysroot / "bin").mkdir(parents=True)
-        rustc = sysroot / "bin" / "rustc"
+        rustc = sysroot / "bin" / name
         if toolchain_rustc:
             rustc.write_text(
                 f'#!/bin/sh\necho "$0 $*" >> "{log}"\n'
@@ -130,8 +157,8 @@ def rustup_layout(tmp_path):
             "exit 0\n"
         )
         rustup.chmod(0o755)
-        (bindir / "rustc").symlink_to("rustup")
-        return str(bindir / "rustc"), log, str(rustc)
+        (bindir / name).symlink_to("rustup")
+        return str(bindir / name), log, str(rustc)
 
     return make
 

@@ -191,6 +191,16 @@ class TestExport:
         assert manifest.read_bytes() == before
         assert not list((tmp_path / "m").glob("ft_*"))
 
+    def test_a_plain_seed_directory_is_refused_as_output(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        (plain / "a.rs").write_text("fn main() { let a = 1; let b = 2; }\n")
+        with pytest.raises(ValueError, match="holds a corpus"):
+            export_finetune_corpus(
+                load_corpus(plain), AugmentConfig(target_size=3), plain
+            )
+        assert sorted(p.name for p in plain.iterdir()) == ["a.rs"]
+
     def test_an_earlier_export_is_overwritten(self, tmp_path):
         export_finetune_corpus(seed_corpus(2), AugmentConfig(target_size=6), tmp_path / "ft")
         result = export_finetune_corpus(

@@ -22,6 +22,7 @@ from conftest import (
     SLEEPER_BODY,
     TIMEPASS_HANG_BODY,
     TRIGGER_BODY,
+    dead,
 )
 
 from clozefuzz import harness
@@ -133,22 +134,6 @@ def test_an_interrupt_mid_compile_kills_the_compile(scripted, tmp_path):
             pass
 
 
-def _dead(pid: int, within: float = 2.0) -> bool:
-    """Whether ``pid`` is gone or a zombie within ``within`` seconds:
-    an orphan killed here may wait for a reaper that never comes."""
-    give_up = time.monotonic() + within
-    while True:
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
-                    return True
-        except FileNotFoundError:
-            return True
-        if time.monotonic() > give_up:
-            return False
-        time.sleep(0.02)
-
-
 def _pid_from(pidfile, within: float = 5.0) -> int:
     give_up = time.monotonic() + within
     while not (pidfile.exists() and pidfile.read_text().strip()):
@@ -197,7 +182,7 @@ def test_a_compile_ends_when_its_compiler_does(
         assert outcome.exit_status == 0
         assert classify(outcome, "scripted-fake") is BugKind.PASS
     if case == "straggler in the group":
-        assert _dead(pid)
+        assert dead(pid)
 
 
 def test_compiles_on_one_thread_share_a_directory_left_empty(scripted, tmp_path):
@@ -637,6 +622,31 @@ def test_a_proxy_that_names_no_toolchain_rustc_runs_as_given(rustup_layout, layo
         "proxy +tc --emit=obj input.rs",
         "proxy +tc --emit=obj input.rs",
     ]
+
+
+def test_a_clippy_driver_proxy_runs_the_toolchain_clippy_driver(rustup_layout):
+    proxy, log, driver = rustup_layout(name="clippy-driver")
+    # the toolchain's rustc sits beside it, and must not be run
+    rustc = Path(driver).with_name("rustc")
+    rustc.write_text(f'#!/bin/sh\necho "rustc $*" >> "{log}"\n')
+    rustc.chmod(0o755)
+    cfg = CompilerConfig(binary_path=proxy)
+    assert compile_program("fn main() {}", cfg).exit_status == 0
+    assert logged(log)[1:] == [f"{driver} -C opt-level=0 --emit=obj input.rs"]
+    assert cfg.command("x.rs")[0] == driver
+
+
+@pytest.mark.skipif(
+    shutil.which("clippy-driver") is None, reason="no clippy-driver on PATH"
+)
+def test_live_clippy_driver_lints_as_clippy():
+    outcome = compile_program(
+        "fn main() { let x = 1; if x == x {} }\n",
+        CompilerConfig(binary_path="clippy-driver"),
+    )
+    # clippy::eq_op is deny by default; plain rustc passes this program
+    assert classify(outcome, "rustc") is not BugKind.PASS, outcome.stderr
+    assert "eq_op" in outcome.stderr
 
 
 @pytest.mark.parametrize("where", ["alone", "proxy layout"])
