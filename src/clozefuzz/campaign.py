@@ -6,8 +6,10 @@ compile goes to one pool of worker threads that lives as long as the
 campaign, so infill and triage overlap the compiles of earlier
 candidates. Results are committed in the order their compiles were
 issued, and all of a seed's results are committed before the next
-seed is drawn. Counts, bundles and feedback seeds are therefore the
-same for every worker count.
+seed is drawn. A seed loaded at start is compiled unmodified when
+it is first drawn, and dropped if that crashes or hangs the
+compiler. Counts, bundles, feedback seeds and dropped seeds are
+therefore the same for every worker count.
 
 A campaign stops on a spent budget, a stall (seed draws give no fresh
 candidates), a vanished compiler, a failed write or Ctrl-C. Each stop
@@ -228,11 +230,15 @@ def report_bug(
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run the full loop until it stops, as the module docstring says.
 
+    Unless ``cfg.skip_preflight`` is set, each seed loaded at start is
+    compiled unmodified when it is first drawn, and one that already
+    crashes or hangs the target leaves the corpus as an idle draw.
     Fresh ICE and hang findings get a bundle on disk and feed back
     into the corpus under fuzzer-feedback provenance. Every compile,
-    preflight included, runs on one pool of ``cfg.workers`` threads
+    seed checks included, runs on one pool of ``cfg.workers`` threads
     that lives as long as the campaign, and the time budget's deadline
-    cuts preflight short too.
+    cuts a check short too. A corpus left empty ends the run with
+    ``CorpusError`` once the report is saved.
     """
     started = time.monotonic()
     out_dir = Path(cfg.out_dir)
@@ -297,19 +303,9 @@ def _run(
             return "candidates"
         return None
 
-    def preflight() -> None:
-        """Drop the seeds that already crash or hang the target. The
-        wait ends at the time budget's deadline; past it the loop below
-        stops at once, and the compiles still in flight are dropped
-        like the loop's own."""
-        left = None if deadline is None else deadline - time.monotonic()
-        try:
-            rejected = preflight_filter(
-                corpus, target, functools.partial(pool.map, timeout=left)
-            )
-        except PoolTimeoutError:
-            return
-        report.preflight_rejected = len(rejected)
+    # seeds loaded at start and not yet compiled unmodified; feedback
+    # seeds come from compiles already triaged and are never checked
+    unchecked = set() if cfg.skip_preflight else {e.id for e in corpus.entries()}
 
     def commit(result: InfillResult, outcome) -> None:
         """Triage one compile. Runs on the campaign's thread in issue
@@ -351,9 +347,26 @@ def _run(
             commit(result, future.result())
 
     def process_seed(entry) -> int:
-        """Mask and infill one seed, compile its candidates on the pool
-        and commit them all. Returns the number of compiles issued."""
+        """Check one seed if it is unchecked, then mask and infill it,
+        compile its candidates on the pool and commit them all. Returns
+        the number of compiles issued, none for a rejected seed.
+
+        The check drops a seed that already crashes or hangs the target
+        from the corpus. Its wait ends at the time budget's deadline; a
+        cut check leaves the seed unchecked, and the loop stops."""
         nonlocal issued
+        if entry.id in unchecked:
+            left = None if deadline is None else deadline - time.monotonic()
+            try:
+                rejected = preflight_filter(
+                    corpus, target, functools.partial(pool.map, timeout=left), [entry]
+                )
+            except PoolTimeoutError:
+                return 0
+            unchecked.discard(entry.id)
+            report.preflight_rejected += len(rejected)
+            if rejected:
+                return 0
         stats = report.per_seed.setdefault(
             entry.id,
             {"sampled": 0, "variants": 0, "candidates": 0, "interesting": 0},
@@ -385,14 +398,12 @@ def _run(
         return issued - issued_before
 
     try:
-        if not cfg.skip_preflight:
-            preflight()
-        if len(corpus) == 0:
-            report.aborted = "no usable seeds: corpus is empty after preflight"
-            raise CorpusError(report.aborted)
         idle_limit = max(50, 4 * len(corpus))
         idle = 0
         while True:
+            if len(corpus) == 0:
+                report.aborted = "no usable seeds: corpus is empty after preflight"
+                raise CorpusError(report.aborted)
             report.budget_exhausted = spent()
             if report.budget_exhausted:
                 break

@@ -350,7 +350,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     fuzz.add_argument("--out", help="output directory")
     fuzz.add_argument("--config", help="JSON config file; flags override it")
     fuzz.add_argument(
-        "--skip-preflight", action="store_true", help="skip the seed preflight pass"
+        "--skip-preflight", action="store_true",
+        help="do not compile a seed before fuzzing it",
     )
     fuzz.add_argument("--sentinel", default=DEFAULT_SENTINEL, help="backend mask marker")
     fuzz.add_argument(

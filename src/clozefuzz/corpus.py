@@ -5,9 +5,10 @@ normalization (trailing whitespace per line and a single trailing
 newline are ignored), so editor artifacts never create duplicates.
 Persistence is a directory of plain source files plus a JSON-lines
 manifest, append-friendly and easy to inspect by hand. A campaign
-works on one ``Corpus``: preflight removes the seeds it rejects from
-that same object, so the files and manifest lines of a managed corpus
-are never rewritten and entry ids are never handed out twice.
+works on one ``Corpus``: it checks each seed with ``preflight_filter``
+when it first draws it and removes a rejected one from that same
+object, so the files and manifest lines of a managed corpus are never
+rewritten and entry ids are never handed out twice.
 """
 
 from __future__ import annotations
@@ -242,20 +243,21 @@ def load_corpus(root: str | Path) -> Corpus:
 
 
 def preflight_filter(
-    corpus: Corpus, compiler_cfg: CompilerConfig, map_fn=map
+    corpus: Corpus, compiler_cfg: CompilerConfig, map_fn=map, entries=None
 ) -> list[tuple[str, str]]:
-    """Remove seeds that already trip the oracle before any fuzzing.
+    """Remove seeds that already trip the oracle before they are fuzzed.
 
     A seed whose unmodified compile classifies as ICE or Hang would
     flood the campaign with known-bad findings; only Pass and Reject
-    seeds stay in ``corpus``. Returns the removed ``(entry id, kind)``
-    pairs in entry order. The compiler is validated up front so a
-    missing binary fails fast rather than after a long corpus walk.
+    seeds stay in ``corpus``. ``entries`` lists the seeds to check,
+    every entry by default. Returns the removed ``(entry id, kind)``
+    pairs in the order of ``entries``. The compiler is validated first,
+    so a missing binary fails fast rather than after a long walk.
     ``map_fn`` runs the compiles and must return results in input
     order, like the builtin ``map`` or an executor's ``map``.
     """
     ensure_compiler(compiler_cfg)
-    entries = corpus.entries()
+    entries = corpus.entries() if entries is None else entries
     outcomes = map_fn(
         lambda entry: compile_program(entry.source_text, compiler_cfg), entries
     )

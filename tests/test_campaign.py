@@ -80,6 +80,13 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def seeds_checked(report) -> int:
+    """The seed checks a campaign ran: one per distinct seed loaded at
+    start that it drew. A plain directory's seeds hold its first ids."""
+    initial = {f"s{n:06d}" for n in range(1, report.corpus_size_initial + 1)}
+    return report.preflight_rejected + len(initial & report.per_seed.keys())
+
+
 def make_config(corpus_dir, tmp_path, compiler, fills, budget=10, **kw):
     backend = MockBackend(fills)
     return CampaignConfig(
@@ -240,9 +247,12 @@ class TestBundles:
         compiler = CompilerConfig(binary_path=scripted("rustc", body), timeout_secs=5.0)
         report, out = self.run_ice_campaign(corpus_dir, tmp_path, compiler)
         expected = ["-C", "opt-level=0", "--emit=obj"]
-        # two preflight compiles, one per seed, then the two candidates
+        # one check per seed drawn, then the two candidates
         argvs = log.read_text().splitlines()
-        assert argvs == [" ".join([*expected, "input.rs"])] * 4
+        assert seeds_checked(report) >= 1
+        assert argvs == [" ".join([*expected, "input.rs"])] * (
+            seeds_checked(report) + report.candidates_compiled
+        )
         repro = (out / report.bundles[0] / "repro.sh").read_text()
         assert shlex.split(repro.splitlines()[-1])[2:] == [*expected, "candidate.rs"]
         saved = json.loads((out / "report.json").read_text())
@@ -262,8 +272,9 @@ class TestRustupProxy:
         assert report.candidates_compiled == 6
         probe, *compiles = log.read_text().splitlines()
         assert probe.startswith("probe ")
-        # two preflight compiles, then the six candidates, all direct
-        assert len(compiles) == 2 + 6
+        # one check per seed drawn, then the six candidates, all direct
+        assert seeds_checked(report) >= 1
+        assert len(compiles) == seeds_checked(report) + 6
         assert {c.split()[0] for c in compiles} == {toolchain_rustc}
 
     def test_repro_script_runs_what_the_campaign_ran(
@@ -357,6 +368,31 @@ class TestBudgets:
             report = run_campaign(cfg)
             assert report.candidates_compiled == budget
             assert report.budget_exhausted == "candidates"
+
+    def test_only_drawn_seeds_are_checked(self, tmp_path, scripted):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for n in range(40):
+            (corpus / f"seed{n:02}.rs").write_text(
+                f"fn main() {{ let x = {n}; }}\n", encoding="utf-8"
+            )
+        log = tmp_path / "argv.log"
+        body = f'echo "$*" >> {shlex.quote(str(log))}\n' + TRIGGER_BODY
+        compiler = CompilerConfig(
+            binary_path=scripted("logging", body),
+            kind="scripted-fake",
+            timeout_secs=5.0,
+        )
+        # one check and one candidate; with the check skipped, the candidate
+        for skip, compiles in ((False, 2), (True, 1)):
+            log.unlink(missing_ok=True)
+            cfg = make_config(
+                corpus, tmp_path / f"skip{skip}", compiler, ["ok()"],
+                budget=1, skip_preflight=skip,
+            )
+            report = run_campaign(cfg)
+            assert report.candidates_compiled == 1
+            assert len(log.read_text().splitlines()) == compiles
 
     def test_time_budget_stops_the_loop(self, corpus_dir, tmp_path, trigger_compiler):
         backend = MockBackend([f"call_{i}()" for i in range(50)])
@@ -660,7 +696,9 @@ class TestDeterminismAcrossWorkers:
         must not depend on the worker count."""
         root = tmp_path / f"w{workers}"
         corpus = Corpus(root / "corpus")
-        for text in (SEED_MAIN, SEED_HELPER, SEED_FEATURE):
+        # the last seed ICEs on its check and leaves the corpus
+        seeds = (SEED_MAIN, SEED_HELPER, SEED_FEATURE, SEED_MAIN + "// 0xBUG\n")
+        for text in seeds:
             corpus.add_entry(text, "test-suite")
 
         ledger = []  # seed draws, infill sizes and outcomes, in order
@@ -696,6 +734,12 @@ class TestDeterminismAcrossWorkers:
             for path in sorted((root / "out" / "bugs").rglob("*"))
             if path.is_file()
         }
+        journal = [
+            {k: v for k, v in json.loads(line).items() if k != "timestamp"}
+            for line in (root / "out" / "bugstore" / "signatures.jsonl")
+            .read_text()
+            .splitlines()
+        ]
         feedback = [
             (e.id, e.source_text)
             for e in Corpus.open(root / "corpus").entries()
@@ -710,7 +754,7 @@ class TestDeterminismAcrossWorkers:
                 per_draw.append([])
             elif tag == "outcome":
                 per_draw[-1].append(value)
-        return report, bundles, feedback, draws, per_draw
+        return report, bundles, journal, feedback, draws, per_draw
 
     def test_worker_count_does_not_change_results(
         self, tmp_path, trigger_compiler, monkeypatch
@@ -719,12 +763,13 @@ class TestDeterminismAcrossWorkers:
             self.run_with(tmp_path, trigger_compiler, workers, monkeypatch)
             for workers in (1, 2, 4)
         ]
-        report, bundles, feedback, draws, per_draw = runs[0]
+        report, bundles, journal, feedback, draws, per_draw = runs[0]
         # the inputs exercise what concurrency could reorder
+        assert report["preflight_rejected"] == 1
         assert report["candidates_compiled"] == 49
         assert report["candidates_generated"] > 49  # budget lands mid-variant
         assert max(n for tag, n in draws if tag == "infill") > 1
-        assert feedback and bundles
+        assert feedback and bundles and len(journal) == len(report["bundles"])
         assert any("ice" in outcomes[:-1] for outcomes in per_draw)  # mid-seed
         for other in runs[1:]:
             assert other == runs[0]

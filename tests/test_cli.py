@@ -207,6 +207,23 @@ class TestFuzzCommand:
         )
         assert rc == 2
 
+    def test_corpus_emptied_by_its_checks_exits_2_with_its_report(
+        self, trigger_bin, mock_script, tmp_path
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "main.rs").write_text(SEED_MAIN + "// 0xBUG\n", encoding="utf-8")
+        (corpus / "helper.rs").write_text(SEED_HELPER + "// 0xBUG\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(
+            fuzz_args(corpus, trigger_bin, mock_script, out, "--budget-candidates", "5")
+        )
+        assert rc == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"] == "no usable seeds: corpus is empty after preflight"
+        assert (report["preflight_rejected"], report["corpus_size_final"]) == (2, 0)
+        assert report["candidates_compiled"] == 0
+
     def test_aborted_campaign_exits_3(
         self, corpus_dir, mock_script, tmp_path, scripted, capsys
     ):
