@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import MANIFEST_NAME, Corpus, content_hash
+from .corpus import MANIFEST_NAME, Corpus, content_hash, seed_files
 from .lexer import TokenKind, lex
 
 logger = logging.getLogger(__name__)
@@ -59,17 +59,23 @@ def random_delete(source: str, p: float, rng: random.Random) -> str:
     return "".join(parts)
 
 
-def _statement_chunks(source: str) -> tuple[list[str], str]:
+def _statement_chunks(source: str) -> tuple[list[str], str, int]:
     """Cut a program into swappable statement-ish chunks.
 
     Boundaries fall after ';' at brace depth 0 or 1 and after a '}'
     that lands at depth 0 or 1. Anything after the last boundary is a
     fixed tail that never moves, so swaps can't glue tokens together.
+    Returns the chunks, the tail and the count of non-whitespace
+    tokens, comments included.
     """
     chunks: list[str] = []
     depth = 0
     cursor = 0
+    tokens = 0
     for tok in lex(source).tokens:
+        if tok.kind is TokenKind.WHITESPACE:
+            continue
+        tokens += 1
         boundary = False
         if tok.kind is TokenKind.OPEN_BRACKET and tok.text == "{":
             depth += 1
@@ -81,18 +87,21 @@ def _statement_chunks(source: str) -> tuple[list[str], str]:
         if boundary:
             chunks.append(source[cursor : tok.end])
             cursor = tok.end
-    return chunks, source[cursor:]
+    return chunks, source[cursor:], tokens
 
 
-def random_swap(source: str, n: int, rng: random.Random) -> tuple[str, bool]:
+def random_swap(source: str, n: int | None, rng: random.Random) -> tuple[str, bool]:
     """Swap n pairs of statement chunks. Returns (text, any_swap_done).
 
-    With fewer than two chunks the source comes back untouched and the
-    flag is False.
+    With n None, the count is ``default_swap_count`` of the source's
+    non-whitespace tokens. With fewer than two chunks the source comes
+    back untouched and the flag is False.
     """
-    if n < 0:
+    if n is not None and n < 0:
         raise ValueError("swap count must be non-negative")
-    chunks, tail = _statement_chunks(source)
+    chunks, tail, tokens = _statement_chunks(source)
+    if n is None:
+        n = default_swap_count(tokens)
     if n == 0 or len(chunks) < 2:
         return source, False
     for _ in range(n):
@@ -130,7 +139,7 @@ def export_finetune_corpus(
     parent id, attempt index), so reruns produce identical bytes.
     An output directory that holds a corpus is refused before anything
     is written: one whose manifest lists anything but an earlier
-    export's entries, or one with ``*.rs`` seeds and no manifest.
+    export's entries, or one with ``seed_files`` and no manifest.
     """
     if cfg.target_size < len(corpus):
         raise ValueError(
@@ -145,7 +154,7 @@ def export_finetune_corpus(
     if manifest.is_file():
         holds_corpus = not _lists_only_exports(manifest)
     else:
-        holds_corpus = any(out.glob("*.rs"))
+        holds_corpus = out.is_dir() and bool(seed_files(out))
     if holds_corpus:
         raise ValueError(f"{out} holds a corpus, not an earlier export")
     out.mkdir(parents=True, exist_ok=True)
@@ -185,8 +194,7 @@ def export_finetune_corpus(
         if attempt % 2 == 0:
             text = random_delete(entry.source_text, cfg.delete_prob, rng)
         else:
-            n = default_swap_count(entry.token_count)
-            text, _ = random_swap(entry.source_text, n, rng)
+            text, _ = random_swap(entry.source_text, None, rng)
         if text.strip():
             emit(text, "delete" if attempt % 2 == 0 else "swap", entry.id, attempt_seed)
         attempt += 1

@@ -92,8 +92,6 @@ class CampaignConfig:
             raise ConfigError("time budget must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.infill.backend is None:
-            raise ConfigError("campaign needs a completion backend")
 
 
 @dataclass
@@ -115,9 +113,7 @@ class CampaignReport:
     variants_masked: int = 0
     candidates_generated: int = 0
     candidates_compiled: int = 0
-    outcomes: dict = field(
-        default_factory=lambda: {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
-    )
+    outcomes: dict = field(default_factory=lambda: {kind.value: 0 for kind in BugKind})
     interesting: int = 0
     duplicate: int = 0
     infill_errors: int = 0

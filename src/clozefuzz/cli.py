@@ -8,7 +8,8 @@ triage of a captured compiler run).
 Exit codes: 0 success, 1 configuration error, 2 environment error
 before a run starts (missing binary, unreadable corpus, unwritable
 output directory or bug store), 3 fuzz or spe run cut short. ``main``
-sets each, except a usage error's 1, which ``_Parser`` exits with.
+sets each, except a usage error's 1, which ``_Parser`` exits with;
+``mine``'s usage errors are configuration errors that ``main`` reports.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import logging
 import random
 import shlex
 import sys
-from datetime import datetime
 from pathlib import Path
 from typing import NoReturn
 
@@ -35,7 +35,7 @@ from .campaign import (
     sign,
     triage,
 )
-from .corpus import MANIFEST_NAME, Corpus, CorpusError, load_corpus
+from .corpus import CorpusError, load_corpus
 from .harness import (
     COMPILER_KINDS,
     CompileOutcome,
@@ -46,8 +46,9 @@ from .harness import (
 )
 from .infill import DEFAULT_SENTINEL, InfillConfig, backend_from_spec
 from .masking import cloze, render
-from .mining import DEFAULT_LABELS, MiningError, harvest
-from .oracle import BugStore, BugStoreError, Novelty, classify
+from .mining import DEFAULT_LABELS, MiningError, harvest, parse_time
+from .mining import fetch_issues_fixture, fetch_issues_http
+from .oracle import BugKind, BugStore, BugStoreError, Novelty, classify
 from .spe import (
     ENUMERATION_THRESHOLD,
     SAMPLE_SIZE,
@@ -144,33 +145,19 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    if (args.fixture_dir is None) == (args.repo is None):
-        raise ConfigError("give exactly one of --fixture-dir or --repo")
-    until = None
-    if args.until:
-        try:
-            until = datetime.fromisoformat(args.until.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise ConfigError(f"bad --until timestamp: {args.until}") from exc
-    corpus_dir = Path(args.corpus)
-    if (corpus_dir / MANIFEST_NAME).is_file():
-        corpus = Corpus.open(corpus_dir)
-    elif any(corpus_dir.rglob("*.rs")):
-        # a new manifest would hide these seeds from every later command
-        raise ConfigError(f"{corpus_dir} holds *.rs seeds but no {MANIFEST_NAME}")
-    else:
-        corpus = Corpus(storage_dir=corpus_dir)
+    try:
+        corpus = load_corpus(args.corpus, managed=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     labels = tuple(x for x in (args.labels or "").split(",") if x) or DEFAULT_LABELS
-    inserted = harvest(
-        corpus,
-        fixture_dir=args.fixture_dir,
-        repo=args.repo,
-        labels=labels,
-        state=args.state,
-        until=until,
-        page_size=args.page_size,
-    )
-    print(f"harvested {inserted} new entries into {corpus_dir} ({len(corpus)} total)")
+    if args.fixture_dir is not None:
+        issues = fetch_issues_fixture(args.fixture_dir, labels, args.state, args.until)
+    else:
+        issues = fetch_issues_http(
+            args.repo, labels, args.state, args.until, page_size=args.page_size
+        )
+    inserted = harvest(corpus, issues)
+    print(f"harvested {inserted} new entries into {args.corpus} ({len(corpus)} total)")
     return 0
 
 
@@ -230,7 +217,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
     }
 
     if target is not None:
-        outcomes = {"pass": 0, "reject": 0, "ice": 0, "hang": 0}
+        outcomes = {kind.value: 0 for kind in BugKind}
         novelty = {found.value: 0 for found in Novelty}
         # as in fuzz, a stop keeps the tallies of the compiles before it
         try:
@@ -301,9 +288,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors, such as an option value its type
     refuses, exit 1: they are configuration errors. Subcommand parsers
-    are made of the same class."""
+    are made of the same class. One made with ``config_errors`` raises
+    them as ``ConfigError`` instead, so that ``main`` prints one line
+    and returns 1; ``mine``'s is, for its source choice and ``--until``."""
+
+    def __init__(self, *args, config_errors: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.config_errors = config_errors
 
     def error(self, message: str) -> NoReturn:
+        if self.config_errors:
+            raise ConfigError(message)
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -376,13 +371,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             if key in types or key == "max_fill_tokens":
                 fuzz.set_defaults(**{key: value})
 
-    mine = sub.add_parser("mine", help="harvest code snippets from bug reports")
+    mine = sub.add_parser(
+        "mine", help="harvest code snippets from bug reports", config_errors=True
+    )
     mine.add_argument("--corpus", required=True, help="corpus directory to fill")
-    mine.add_argument("--fixture-dir", help="local JSON issue fixtures")
-    mine.add_argument("--repo", help="owner/name of a hosted repository")
+    source = mine.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture-dir", help="local JSON issue fixtures")
+    source.add_argument("--repo", help="owner/name of a hosted repository")
     mine.add_argument("--labels", help="comma-separated label filter")
     mine.add_argument("--state", default="closed", help="issue state filter")
-    mine.add_argument("--until", help="only issues created before this ISO timestamp")
+    mine.add_argument(
+        "--until", type=parse_time, help="only issues created before this ISO-8601 time"
+    )
     mine.add_argument("--page-size", type=int, default=100)
     mine.set_defaults(func=cmd_mine)
 
@@ -427,13 +427,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; every exit code but a usage error's is
-    decided here."""
+    """Run one subcommand; every exit code but that of a usage error
+    the parser exits with is decided here."""
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "fuzz" and args.config:
             config = _read_json_object(args.config, "config file")
             args = build_parser(config).parse_args(argv)

@@ -19,11 +19,9 @@ import logging
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from .harness import CompilerConfig, compile_program, ensure_compiler
-from .lexer import count_nonspace_tokens
 from .oracle import BugKind, classify
 
 logger = logging.getLogger(__name__)
@@ -62,11 +60,6 @@ class CorpusEntry:
     source_text: str
     content_hash: str
     provenance: str
-
-    @cached_property
-    def token_count(self) -> int:
-        """Non-whitespace tokens, lexed on first use: loading lexes nothing."""
-        return count_nonspace_tokens(self.source_text)
 
 
 class Corpus:
@@ -209,25 +202,42 @@ class Corpus:
         return corpus
 
 
-def load_corpus(root: str | Path) -> Corpus:
-    """Open the corpus in a directory: the one way every command but
-    ``mine`` opens one.
+def seed_files(root: Path) -> list[Path]:
+    """A plain directory's seeds: its ``*.rs`` files, searched
+    recursively, in sorted order."""
+    return sorted(path for path in root.rglob("*.rs") if path.is_file())
+
+
+def load_corpus(root: str | Path, *, managed: bool = False) -> Corpus:
+    """Open the corpus in a directory: the one way every command opens one.
 
     A directory holding a manifest is a managed corpus, opened with
-    ``Corpus.open``. Otherwise the ``*.rs`` files under it become
+    ``Corpus.open``. Otherwise the ``seed_files`` under it become
     user-supplied entries of an in-memory corpus; files that fail to
     read at all or to decode as UTF-8 are skipped with a warning.
     A missing root is a hard error.
+
+    ``managed``, which ``mine`` passes, asks for a corpus that persists
+    what is added to it. A missing directory, or one with no seed
+    files, then starts a new managed corpus there. One holding seed
+    files is a ValueError: the manifest of a new corpus would hide
+    them from every later command.
     """
     root = Path(root)
     if (root / MANIFEST_NAME).is_file():
         return Corpus.open(root)
     if not root.is_dir():
+        if managed:
+            # a file in the way fails to become a directory, an OSError
+            return Corpus(root)
         raise CorpusError(f"corpus root is not a directory: {root}")
+    paths = seed_files(root)
+    if managed:
+        if paths:
+            raise ValueError(f"{root} holds *.rs seeds but no {MANIFEST_NAME}")
+        return Corpus(root)
     corpus = Corpus()
-    for path in sorted(root.rglob("*.rs")):
-        if not path.is_file():
-            continue
+    for path in paths:
         try:
             raw = path.read_bytes()
         except OSError as exc:

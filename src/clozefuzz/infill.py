@@ -51,10 +51,10 @@ class CompletionRequest:
 
 @dataclass
 class InfillConfig:
+    backend: object  # anything with .sentinel and .complete()
     time_max: int = 4
     base_temperature: float = 0.8
     max_fill_tokens: int = 256
-    backend: object | None = None  # anything with .sentinel and .complete()
 
     def __post_init__(self) -> None:
         if self.time_max < 1:
@@ -259,8 +259,6 @@ def infill(
     and so does a fill that is not text encodable as UTF-8.
     """
     backend = cfg.backend
-    if backend is None:
-        raise ValueError("infill requires a configured backend")
     if variant.special:
         temperatures = [rng.random() for _ in range(cfg.time_max)]
     else:

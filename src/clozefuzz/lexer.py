@@ -154,7 +154,3 @@ def significant_tokens(tokens: list[Token]) -> list[Token]:
     and comments."""
     return [t for t in tokens if t.kind is not _WHITESPACE and t.kind is not _COMMENT]
 
-
-def count_nonspace_tokens(source: str) -> int:
-    """Number of tokens excluding whitespace runs. Comments count."""
-    return sum(1 for t in lex(source).tokens if t.kind is not _WHITESPACE)

@@ -1,13 +1,14 @@
 """Bug-tracker mining: fetch issues, pull fenced code out of them.
 
-Two sources share one record shape: a directory of JSON fixtures (the
+Two sources yield one record shape: a directory of JSON fixtures (the
 default in tests, never touches the network) and the live issue API of
-a hosted repository. The API is read through ``infill.request_json``,
-so mining retries under the completion backend's one policy, and a
-fetch that fails after it is a ``MiningError`` naming its page or
-issue. Snippet extraction understands backtick and tilde fences with
-an optional info-string; only blocks marked rust-ish or not marked at
-all are kept.
+a hosted repository; ``harvest`` takes either stream. One ISO-8601
+reader, ``parse_time``, reads ``--until`` and every ``created_at``.
+The API is read through ``infill.request_json``, so mining retries
+under the completion backend's one policy, and a fetch that fails
+after it is a ``MiningError`` naming its page or issue. Snippet
+extraction understands backtick and tilde fences with an optional
+info-string; only blocks marked rust-ish or not marked at all are kept.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus
 from .infill import BackendError, request_json
@@ -48,13 +49,12 @@ class ExtractedSnippet:
     text: str
 
 
-def _parse_when(value) -> datetime | None:
-    if not value:
-        return None
-    try:
-        return datetime.fromisoformat(str(value).replace("Z", "+00:00"))
-    except ValueError:
-        return None
+def parse_time(text: str) -> datetime:
+    """An ISO-8601 date or time, such as ``--until``'s or a record's
+    ``created_at``. ``Z`` means UTC, and so does a time without a zone.
+    A text that is no such time is a ValueError."""
+    when = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    return when if when.tzinfo else when.replace(tzinfo=timezone.utc)
 
 
 def _issue_from_dict(data, where: str) -> IssueRecord:
@@ -75,6 +75,11 @@ def _issue_from_dict(data, where: str) -> IssueRecord:
     body = data.get("body") or ""
     if not isinstance(body, str):
         raise MiningError(f"{where}: issue {number} has a body that is not text")
+    created = data.get("created_at")
+    try:
+        created_at = parse_time(str(created)) if created else None
+    except ValueError:
+        raise MiningError(f"{where}: issue {number} has a bad created_at") from None
     comments = []
     raw_comments = data.get("comments", [])
     if isinstance(raw_comments, (list, tuple)):
@@ -91,7 +96,7 @@ def _issue_from_dict(data, where: str) -> IssueRecord:
         labels=labels,
         state=data.get("state") or "open",
         comments=comments,
-        created_at=_parse_when(data.get("created_at")),
+        created_at=created_at,
     )
 
 
@@ -265,27 +270,13 @@ def extract_snippets(issue: IssueRecord) -> list[ExtractedSnippet]:
     return snippets
 
 
-def harvest(
-    corpus: Corpus,
-    fixture_dir: str | Path | None = None,
-    repo: str | None = None,
-    labels: Sequence[str] = DEFAULT_LABELS,
-    state: str | None = "closed",
-    until: datetime | None = None,
-    **http_kwargs,
-) -> int:
-    """Mine snippets into a corpus; returns how many entries are new.
+def harvest(corpus: Corpus, issues: Iterable[IssueRecord]) -> int:
+    """Mine the snippets of ``issues`` into a corpus; returns how many
+    entries are new.
 
-    Exactly one of fixture_dir and repo must be given. Fetch errors
-    propagate, but everything harvested before the failure stays in
-    the corpus.
+    An error of the issue stream propagates, but everything harvested
+    before it stays in the corpus.
     """
-    if (fixture_dir is None) == (repo is None):
-        raise MiningError("give exactly one of fixture_dir or repo")
-    if fixture_dir is not None:
-        issues = fetch_issues_fixture(fixture_dir, labels, state, until)
-    else:
-        issues = fetch_issues_http(repo, labels, state, until, **http_kwargs)
     inserted = 0
     for issue in issues:
         for snippet in extract_snippets(issue):

@@ -254,9 +254,6 @@ class BugStore:
     def __len__(self) -> int:
         return len(self._digests)
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._digests
-
     def record_if_new(
         self, sig: BugSignature, write_case: Callable[[BugSignature], Path]
     ) -> Novelty:

@@ -209,6 +209,24 @@ class TestExport:
         lines = (tmp_path / "ft" / "manifest.jsonl").read_text().splitlines()
         assert [json.loads(ln) for ln in lines] == result.records
 
+    def test_comments_count_toward_the_swap_count(self, tmp_path):
+        # 36 tokens of code and 200 line comments: 236 tokens, 4 swaps,
+        # where the code alone would give 1
+        source = (
+            "fn main() {\n"
+            + "".join(f"    let v{i} = {i};\n" for i in range(6))
+            + "}\n"
+            + "// note\n" * 200
+        )
+        corpus = Corpus()
+        corpus.add_entry(source, "test-suite")
+        result = export_finetune_corpus(corpus, AugmentConfig(target_size=3), tmp_path)
+        (swap,) = [r for r in result.records if r["op"] == "swap"]
+        text = (tmp_path / swap["path"]).read_text()
+        for n in range(8):
+            expected = random_swap(source, n, random.Random(swap["seed"]))[0]
+            assert (text == expected) is (n == 4)
+
     def test_degenerate_corpus_stalls_gracefully(self, tmp_path):
         corpus = Corpus()
         corpus.add_entry("x", "test-suite")  # one token: no variants possible

@@ -679,7 +679,6 @@ class TestConfigValidation:
             {"budget_candidates": 0},
             {"budget_candidates": None, "budget_seconds": -1.0},
             {"workers": 0},
-            {"infill": InfillConfig()},
         ):
             with pytest.raises(ConfigError):
                 CampaignConfig(**{**good, **mutation})

@@ -13,7 +13,8 @@ from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY
 import clozefuzz
 from clozefuzz import campaign, cli
 from clozefuzz.cli import main
-from clozefuzz.corpus import Corpus
+from clozefuzz.augment import AugmentConfig, export_finetune_corpus
+from clozefuzz.corpus import Corpus, CorpusError, load_corpus
 from clozefuzz.oracle import BugStore, BugStoreError
 
 SEED_MAIN = "fn main() { helper(1); }\n"
@@ -326,6 +327,36 @@ class TestMineCommand:
             == 1
         )
 
+    def test_until_reads_a_time_without_a_zone_as_utc(self, tmp_path, capsys):
+        issues = tmp_path / "issues"
+        issues.mkdir()
+        created = {
+            1: "2023-12-31T23:59:59Z",
+            2: "2024-01-01T00:00:00Z",
+            3: None,
+            4: "2024-01-01T00:30:00+01:00",
+            5: "2024-06-01T00:00:00Z",
+        }
+        for number, when in created.items():
+            record = {
+                "number": number,
+                "state": "closed",
+                "labels": ["C-bug", "T-compiler"],
+                "body": f"```rust\nfn r{number}() {{}}\n```",
+            }
+            if when:
+                record["created_at"] = when
+            (issues / f"{number}.json").write_text(json.dumps(record), encoding="utf-8")
+        corpus_dir = tmp_path / "mined"
+        argv = [
+            "mine", "--corpus", str(corpus_dir), "--fixture-dir", str(issues),
+            "--until", "2024-01-01",
+        ]
+        assert main(argv) == 0
+        # before 2024-01-01T00:00Z: 1, 4 (23:30Z) and 3, which has no date
+        texts = {e.source_text for e in Corpus.open(corpus_dir).entries()}
+        assert texts == {"fn r1() {}", "fn r3() {}", "fn r4() {}"}
+
     def test_missing_fixture_dir_is_environmental(self, tmp_path):
         rc = main(
             [
@@ -417,6 +448,18 @@ class TestAugmentCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "holds a corpus" in lines[0]
         assert _tree(mined) == before
+
+    def test_out_with_seeds_only_in_a_subdirectory_is_refused(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "ft"
+        (out / "sub").mkdir(parents=True)
+        (out / "sub" / "a.rs").write_text(SEED_MAIN, encoding="utf-8")
+        before = _tree(out)
+        argv = ["augment", "--corpus", str(corpus_dir), "--out", str(out)]
+        assert main(argv) == 1
+        assert "holds a corpus" in capsys.readouterr().err
+        assert _tree(out) == before
 
     def test_target_smaller_than_corpus(self, corpus_dir, tmp_path):
         rc = main(
@@ -924,6 +967,91 @@ class TestExitTable:
         assert main(argv) == 1
         assert "no manifest.jsonl" in capsys.readouterr().err
         assert not (seeds / "manifest.jsonl").exists()
+
+
+def _make_shape(root, shape):
+    """Give ``root`` one of the shapes a corpus directory can have."""
+    if shape == "missing":
+        return
+    root.mkdir()
+    if shape == "top-level seeds":
+        (root / "a.rs").write_text(SEED_MAIN, encoding="utf-8")
+    elif shape == "nested seeds only":
+        (root / "sub").mkdir()
+        (root / "sub" / "a.rs").write_text(SEED_MAIN, encoding="utf-8")
+    elif shape == "managed corpus":
+        Corpus(root).add_entry(SEED_MAIN, "issue-mined")
+    elif shape == "earlier export":
+        seeds = Corpus()
+        seeds.add_entry(SEED_HELPER, "user-supplied")
+        export_finetune_corpus(seeds, AugmentConfig(target_size=2), root)
+
+
+# shape: (provenances load_corpus finds, or None for a CorpusError;
+# mine's exit code; augment --out's exit code), as the README states
+CORPUS_SHAPES = {
+    "missing": (None, 0, 0),
+    "empty": ([], 0, 0),
+    "top-level seeds": (["user-supplied"], 1, 1),
+    "nested seeds only": (["user-supplied"], 1, 1),
+    "managed corpus": (["issue-mined"], 0, 1),
+    "earlier export": (["augmented", "augmented"], 0, 0),
+}
+
+
+class TestCorpusDirectoryShapes:
+    """``load_corpus``, ``mine --corpus`` and ``augment --out`` read each
+    shape of directory the same way."""
+
+    @pytest.fixture(params=sorted(CORPUS_SHAPES))
+    def shape(self, request):
+        return request.param
+
+    def provenances(self, root):
+        return sorted(e.provenance for e in load_corpus(root).entries())
+
+    def test_load_corpus(self, shape, tmp_path):
+        root = tmp_path / "d"
+        _make_shape(root, shape)
+        expected = CORPUS_SHAPES[shape][0]
+        if expected is None:
+            with pytest.raises(CorpusError):
+                load_corpus(root)
+        else:
+            assert self.provenances(root) == expected
+
+    def test_mine_opens_what_load_corpus_opens(self, shape, tmp_path, capsys):
+        root = tmp_path / "d"
+        _make_shape(root, shape)
+        before = _tree(root) if root.exists() else None
+        expected, code, _ = CORPUS_SHAPES[shape]
+        issues = tmp_path / "issues"
+        issues.mkdir()
+        argv = ["mine", "--corpus", str(root), "--fixture-dir", str(issues)]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("error: ") and "no manifest.jsonl" in err
+            assert _tree(root) == before
+        else:
+            assert out.endswith(f"({len(expected or [])} total)\n")
+            assert self.provenances(root) == (expected or [])
+
+    def test_augment_out(self, shape, corpus_dir, tmp_path, capsys):
+        root = tmp_path / "d"
+        _make_shape(root, shape)
+        before = _tree(root) if root.exists() else None
+        code = CORPUS_SHAPES[shape][2]
+        argv = [
+            "augment", "--corpus", str(corpus_dir), "--out", str(root),
+            "--target-size", "3",
+        ]
+        assert main(argv) == code
+        if code:
+            assert "holds a corpus" in capsys.readouterr().err
+            assert _tree(root) == before
+        else:
+            assert self.provenances(root) == ["augmented"] * 3
 
 
 class TestConfigFile:

@@ -55,33 +55,6 @@ def test_provenance_is_validated_and_recorded():
     assert corpus.get(eid).provenance == "glacier"
 
 
-def test_token_count_is_lexer_derived():
-    corpus = Corpus()
-    eid, _ = corpus.add_entry("fn main() {}", "user-supplied")
-    assert corpus.get(eid).token_count == 6
-
-
-def test_loading_a_corpus_lexes_nothing(tmp_path, monkeypatch):
-    import clozefuzz.corpus as corpus_module
-
-    lexed: list[str] = []
-
-    def counting(text: str) -> int:
-        lexed.append(text)
-        return 6
-
-    monkeypatch.setattr(corpus_module, "count_nonspace_tokens", counting)
-    (tmp_path / "a.rs").write_text("fn main() {}")
-    loaded = load_corpus(tmp_path).entries()[0]
-    store = tmp_path / "store"
-    Corpus(store).add_entry(loaded.source_text, loaded.provenance)
-    entry = Corpus.open(store).entries()[0]
-    assert lexed == []
-    # counted on first use, then kept
-    assert entry.token_count == entry.token_count == 6
-    assert lexed == ["fn main() {}"]
-
-
 def test_sampling_determinism_and_spread():
     corpus = Corpus()
     for i in range(4):

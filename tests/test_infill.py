@@ -180,18 +180,18 @@ def test_a_fill_not_encodable_as_utf8_is_a_protocol_error():
 
 
 def test_missing_backend_is_a_config_error():
-    variant = pick_variant(PLAIN, special=False)
-    with pytest.raises(ValueError):
-        infill(variant, InfillConfig(), random.Random(0))
+    with pytest.raises(TypeError, match="backend"):
+        InfillConfig()
 
 
 def test_config_validation():
+    backend = EchoBackend()
     with pytest.raises(ValueError):
-        InfillConfig(time_max=0)
+        InfillConfig(backend=backend, time_max=0)
     with pytest.raises(ValueError):
-        InfillConfig(base_temperature=1.5)
+        InfillConfig(backend=backend, base_temperature=1.5)
     with pytest.raises(ValueError):
-        InfillConfig(max_fill_tokens=0)
+        InfillConfig(backend=backend, max_fill_tokens=0)
 
 
 # --- HTTP backend against a live local server --------------------------------

@@ -5,7 +5,7 @@ import time
 
 from helpers import fixture_corpus_texts, gen_bracket_source
 
-from clozefuzz.lexer import TokenKind, count_nonspace_tokens, lex
+from clozefuzz.lexer import TokenKind, lex
 
 
 def kinds_of(source: str) -> list[TokenKind]:
@@ -139,13 +139,6 @@ def test_number_literals():
     assert "0" in literals and "5" in literals
     dots = [t.text for t in toks if t.kind is TokenKind.PUNCT]
     assert ".." in dots
-
-
-def test_nonspace_token_count():
-    assert count_nonspace_tokens("fn main() {}") == 6
-    assert count_nonspace_tokens("") == 0
-    # comments count as tokens, whitespace runs do not
-    assert count_nonspace_tokens("a // c\nd") == 3
 
 
 def texts_of(source: str) -> list[tuple[TokenKind, str]]:

@@ -13,6 +13,7 @@ from clozefuzz.mining import (
     fetch_issues_fixture,
     fetch_issues_http,
     harvest,
+    parse_time,
 )
 
 
@@ -183,25 +184,45 @@ class TestFixtureFetch:
         assert issues[0].comments == ["plain text comment"]
 
 
+class TestParseTime:
+    UTC = timezone.utc
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2024-01-01", datetime(2024, 1, 1, tzinfo=UTC)),
+            ("2024-01-01T12:30:00", datetime(2024, 1, 1, 12, 30, tzinfo=UTC)),
+            ("2024-01-01T12:30:00Z", datetime(2024, 1, 1, 12, 30, tzinfo=UTC)),
+            ("2024-01-01T12:30:00+02:00", datetime(2024, 1, 1, 10, 30, tzinfo=UTC)),
+        ],
+    )
+    def test_a_time_without_a_zone_is_utc(self, text, expected):
+        assert parse_time(text) == expected
+        assert parse_time(text).tzinfo is not None
+
+    def test_other_text_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            parse_time("not-a-date")
+
+    def test_a_record_with_a_bad_created_at_is_malformed(self, tmp_path):
+        write_fixture(tmp_path / "1.json", 1, ["C-bug", "T-compiler"], created="soon")
+        with pytest.raises(MiningError, match="1.json: issue 1 has a bad created_at"):
+            list(fetch_issues_fixture(tmp_path))
+
+
 class TestHarvest:
     def test_harvest_from_fixtures(self, fixture_dir):
         corpus = Corpus()
-        inserted = harvest(corpus, fixture_dir=fixture_dir)
+        inserted = harvest(corpus, fetch_issues_fixture(fixture_dir))
         assert inserted == 2  # issue 1 body snippet + issue 4 comment snippet
         provs = {e.provenance for e in corpus.entries()}
         assert provs == {"issue-mined"}
 
     def test_harvest_is_idempotent(self, fixture_dir):
         corpus = Corpus()
-        harvest(corpus, fixture_dir=fixture_dir)
-        assert harvest(corpus, fixture_dir=fixture_dir) == 0
+        harvest(corpus, fetch_issues_fixture(fixture_dir))
+        assert harvest(corpus, fetch_issues_fixture(fixture_dir)) == 0
         assert len(corpus) == 2
-
-    def test_exactly_one_source_required(self, fixture_dir):
-        with pytest.raises(MiningError):
-            harvest(Corpus())
-        with pytest.raises(MiningError):
-            harvest(Corpus(), fixture_dir=fixture_dir, repo="o/r")
 
 
 # --- hosted API paging through a stub session ---------------------------------
