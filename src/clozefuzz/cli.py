@@ -8,8 +8,7 @@ triage of a captured compiler run).
 Exit codes: 0 success, 1 configuration error, 2 environment error
 before a run starts (missing binary, unreadable corpus, unwritable
 output directory or bug store), 3 fuzz or spe run cut short. ``main``
-sets each, except a usage error's 1, which ``_Parser`` exits with;
-``mine``'s usage errors are configuration errors that ``main`` reports.
+sets each, except a usage error's 1, which ``_Parser`` exits with.
 """
 
 from __future__ import annotations
@@ -288,17 +287,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors, such as an option value its type
     refuses, exit 1: they are configuration errors. Subcommand parsers
-    are made of the same class. One made with ``config_errors`` raises
-    them as ``ConfigError`` instead, so that ``main`` prints one line
-    and returns 1; ``mine``'s is, for its source choice and ``--until``."""
-
-    def __init__(self, *args, config_errors: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.config_errors = config_errors
+    are made of the same class."""
 
     def error(self, message: str) -> NoReturn:
-        if self.config_errors:
-            raise ConfigError(message)
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -371,9 +362,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             if key in types or key == "max_fill_tokens":
                 fuzz.set_defaults(**{key: value})
 
-    mine = sub.add_parser(
-        "mine", help="harvest code snippets from bug reports", config_errors=True
-    )
+    mine = sub.add_parser("mine", help="harvest code snippets from bug reports")
     mine.add_argument("--corpus", required=True, help="corpus directory to fill")
     source = mine.add_mutually_exclusive_group(required=True)
     source.add_argument("--fixture-dir", help="local JSON issue fixtures")
@@ -427,13 +416,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; every exit code but that of a usage error
-    the parser exits with is decided here."""
+    """Run one subcommand; every exit code but a usage error's is
+    decided here."""
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
         if args.command == "fuzz" and args.config:
             config = _read_json_object(args.config, "config file")
             args = build_parser(config).parse_args(argv)

@@ -59,11 +59,11 @@ stand-in executable used by the test suite and for offline dry runs).
 Each target's command is resolved, and its environment read, once
 (``ensure_compiler``). A rustc target that is rustup's proxy is
 replaced there by the toolchain's binary of the proxy's own name (a
-``clippy-driver`` proxy runs clippy's driver), found with one
-``--print sysroot`` probe, because the proxy re-reads rustup's
-settings on every run before it starts that same binary; a leading
-``+toolchain`` flag picks the toolchain at that point. Every other
-target, and a proxy whose toolchain lacks that binary, runs as given.
+``clippy-driver`` proxy runs clippy's driver), which one ``rustup
+which`` names without starting a compiler. The proxy would re-read
+rustup's settings on every run before starting that same binary. A
+leading ``+toolchain`` flag picks the toolchain. Every other target,
+and a proxy rustup names no binary for, runs as given.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ ENV_ALLOWLIST = (
     "LANG",
     "LC_ALL",
     # rustup installs rustc as a proxy that resolves the real toolchain
-    # through these. A rustc proxy is run once, for the sysroot probe,
+    # through these. A rustc proxy is resolved once, by ``rustup which``,
     # and then bypassed; other targets (wrapper scripts, a proxy whose
     # probe failed) may still go through rustup on every compile, and
     # stripping these makes each of those compiles fail before it ever
@@ -240,18 +240,21 @@ def _is_rustup_proxy(binary: str) -> bool:
 def _toolchain_argv(
     proxy: str, cfg: CompilerConfig, env: dict[str, str]
 ) -> tuple[str, ...] | None:
-    """The argv that runs the toolchain binary behind a rustup proxy
-    directly, the one of the proxy's own name under the toolchain's
-    sysroot, or None when the proxy cannot name one.
+    """The argv that runs the toolchain binary of the proxy's own name
+    (rustup's clippy-driver proxy names clippy's driver, not rustc)
+    directly, or None when rustup cannot name one.
 
-    The probe runs from the parent of every compile's scratch directory,
-    so rustup applies the toolchain overrides a compile would see there.
+    One ``rustup which`` names it without starting the compiler. It runs
+    from the parent of every compile's scratch directory, so rustup
+    applies the toolchain overrides a compile would see there.
     """
     flags = cfg.extra_flags
     plus = flags[:1] if flags and flags[0].startswith("+") else ()
+    toolchain = ("--toolchain", plus[0][1:]) if plus else ()
+    rustup = os.path.join(os.path.dirname(proxy), "rustup")
     try:
         done = subprocess.run(
-            [proxy, *plus, "--print", "sysroot"],
+            [rustup, "which", *toolchain, os.path.basename(proxy)],
             cwd=tempfile.gettempdir(),
             env=env,
             capture_output=True,
@@ -259,13 +262,9 @@ def _toolchain_argv(
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sysroot = done.stdout.decode("utf-8", errors="replace").strip()
-    if done.returncode != 0 or not sysroot:
-        return None
-    # the proxy's own name: rustup's clippy-driver proxy names clippy's
-    # driver, not rustc
-    direct = os.path.join(sysroot, "bin", os.path.basename(proxy))
-    if not (os.path.isfile(direct) and os.access(direct, os.X_OK)):
+    direct = os.fsdecode(done.stdout).strip()
+    named = done.returncode == 0 and os.path.isabs(direct)
+    if not (named and os.path.isfile(direct) and os.access(direct, os.X_OK)):
         return None
     return (direct, *flags[len(plus):])
 

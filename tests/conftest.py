@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shlex
 import textwrap
 import time
 
@@ -123,15 +124,18 @@ def rustup_layout(tmp_path):
 
     ``bin/rustup`` is a script and ``bin/<name>`` a symlink to it, as
     rustup installs its proxies; ``toolchain/bin/<name>`` runs ``body``.
-    Every process appends one line to the returned log: the proxy's
-    sysroot probe ``probe CWD ARGS``, any other proxy run ``proxy
-    ARGS``, and the toolchain binary ``$0 ARGS``. ``probe_exit`` is the
-    probe's exit status; ``toolchain_rustc=False`` leaves the sysroot
+    Every process appends one line to the returned log: ``rustup which
+    ARGS`` logs ``probe CWD which ARGS``, any proxy run ``proxy ARGS``,
+    and the toolchain binary ``$0 ARGS``. ``which`` prints ``prints``
+    (by default the toolchain binary's absolute path) and exits
+    ``probe_exit``; ``toolchain_rustc=False`` leaves the toolchain
     without ``bin/<name>``. Returns ``(proxy path, log path, toolchain
     binary path)``.
     """
 
-    def make(body=OK_BODY, probe_exit=0, toolchain_rustc=True, name="rustc"):
+    def make(
+        body=OK_BODY, probe_exit=0, toolchain_rustc=True, name="rustc", prints=None
+    ):
         log = tmp_path / "calls.log"
         sysroot = tmp_path / "toolchain"
         (sysroot / "bin").mkdir(parents=True)
@@ -147,12 +151,11 @@ def rustup_layout(tmp_path):
         rustup = bindir / "rustup"
         rustup.write_text(
             "#!/bin/sh\n"
-            'case " $* " in\n'
-            '  *" --print sysroot "*)\n'
+            'if [ "${0##*/} $1" = "rustup which" ]; then\n'
             f'    echo "probe $(pwd) $*" >> "{log}"\n'
-            f'    echo "{sysroot}"\n'
-            f"    exit {probe_exit} ;;\n"
-            "esac\n"
+            f"    echo {shlex.quote(str(rustc) if prints is None else prints)}\n"
+            f"    exit {probe_exit}\n"
+            "fi\n"
             f'echo "proxy $*" >> "{log}"\n'
             "exit 0\n"
         )

@@ -271,7 +271,7 @@ class TestRustupProxy:
         report = run_campaign(cfg)
         assert report.candidates_compiled == 6
         probe, *compiles = log.read_text().splitlines()
-        assert probe.startswith("probe ")
+        assert probe == f"probe {os.path.realpath(tempfile.gettempdir())} which rustc"
         # one check per seed drawn, then the six candidates, all direct
         assert seeds_checked(report) >= 1
         assert len(compiles) == seeds_checked(report) + 6
@@ -286,7 +286,8 @@ class TestRustupProxy:
         )
         cfg = make_config(corpus_dir, tmp_path, compiler, ["0xBUG boom()"], budget=1)
         report = run_campaign(cfg)
-        compiled = log.read_text().splitlines()[-1]
+        probe, *_, compiled = log.read_text().splitlines()
+        assert probe.endswith(" which --toolchain tc rustc")
         assert compiled == f"{toolchain_rustc} --emit=obj input.rs"
         repro = tmp_path / "out" / report.bundles[0] / "repro.sh"
         proc = subprocess.run([str(repro)], capture_output=True, text=True, timeout=30)

@@ -314,18 +314,15 @@ class TestMineCommand:
         assert rc == 0
         assert "harvested 0 new entries" in capsys.readouterr().out
 
-    def test_source_choice_is_exclusive(self, fixture_dir, tmp_path):
-        corpus_dir = str(tmp_path / "mined")
-        assert main(["mine", "--corpus", corpus_dir]) == 1
-        assert (
-            main(
-                [
-                    "mine", "--corpus", corpus_dir,
-                    "--fixture-dir", str(fixture_dir), "--repo", "o/r",
-                ]
-            )
-            == 1
-        )
+    def test_source_choice_is_exclusive(self, fixture_dir, tmp_path, capsys):
+        mine = ["mine", "--corpus", str(tmp_path / "mined")]
+        both = [*mine, "--fixture-dir", str(fixture_dir), "--repo", "o/r"]
+        for argv in (mine, both):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 1
+            assert capsys.readouterr().err.startswith("usage: clozefuzz mine")
+        assert not (tmp_path / "mined").exists()
 
     def test_until_reads_a_time_without_a_zone_as_utc(self, tmp_path, capsys):
         issues = tmp_path / "issues"
@@ -397,16 +394,20 @@ class TestMineCommand:
         # 1.json, read before the bad record, stays harvested
         assert len(Corpus.open(corpus_dir)) == 1
 
-    def test_bad_until_timestamp(self, fixture_dir, tmp_path):
-        rc = main(
-            [
-                "mine",
-                "--corpus", str(tmp_path / "mined"),
-                "--fixture-dir", str(fixture_dir),
-                "--until", "not-a-date",
-            ]
-        )
-        assert rc == 1
+    def test_bad_until_timestamp(self, fixture_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(
+                [
+                    "mine",
+                    "--corpus", str(tmp_path / "mined"),
+                    "--fixture-dir", str(fixture_dir),
+                    "--until", "not-a-date",
+                ]
+            )
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: clozefuzz mine")
+        assert "argument --until: invalid parse_time value: 'not-a-date'" in err
 
 
 class TestAugmentCommand:

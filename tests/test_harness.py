@@ -557,7 +557,7 @@ def test_rustup_proxy_is_resolved_to_the_toolchain_rustc(rustup_layout):
     # one probe, for the toolchain the leading +tc names, from the
     # directory every compile's scratch directory is made in
     cwd = os.path.realpath(tempfile.gettempdir())
-    assert probe == f"probe {cwd} +tc --print sysroot"
+    assert probe == f"probe {cwd} which --toolchain tc rustc"
     assert compiles == [f"{toolchain_rustc} -C opt-level=0 input.rs"] * 3
     assert cfg.command("x.rs") == [toolchain_rustc, "-C", "opt-level=0", "x.rs"]
 
@@ -608,17 +608,27 @@ def test_a_rustc_that_is_not_the_proxy_runs_as_given(
 
 
 @pytest.mark.parametrize(
-    "layout", [{"probe_exit": 1}, {"toolchain_rustc": False}],
-    ids=["probe fails", "no toolchain rustc"],
+    "layout",
+    [
+        {"probe_exit": 1},
+        {"toolchain_rustc": False},
+        {"prints": os.path.join("toolchain", "bin", "rustc")},
+    ],
+    ids=["probe fails", "no toolchain rustc", "relative path"],
 )
-def test_a_proxy_that_names_no_toolchain_rustc_runs_as_given(rustup_layout, layout):
+def test_a_proxy_that_names_no_toolchain_rustc_runs_as_given(
+    rustup_layout, layout, tmp_path, monkeypatch
+):
     proxy, log, _ = rustup_layout(**layout)
+    # a relative answer names the toolchain rustc from here, and is
+    # still refused
+    monkeypatch.chdir(tmp_path)
     cfg = CompilerConfig(binary_path=proxy, extra_flags=("+tc", "--emit=obj"))
     compile_program("fn main() {}", cfg)
     compile_program("fn main() {}", cfg)
     # the probe is not retried, and the proxy keeps every flag
     assert logged(log) == [
-        f"probe {os.path.realpath(tempfile.gettempdir())} +tc --print sysroot",
+        f"probe {os.path.realpath(tempfile.gettempdir())} which --toolchain tc rustc",
         "proxy +tc --emit=obj input.rs",
         "proxy +tc --emit=obj input.rs",
     ]
@@ -632,7 +642,10 @@ def test_a_clippy_driver_proxy_runs_the_toolchain_clippy_driver(rustup_layout):
     rustc.chmod(0o755)
     cfg = CompilerConfig(binary_path=proxy)
     assert compile_program("fn main() {}", cfg).exit_status == 0
-    assert logged(log)[1:] == [f"{driver} -C opt-level=0 --emit=obj input.rs"]
+    assert logged(log) == [
+        f"probe {os.path.realpath(tempfile.gettempdir())} which clippy-driver",
+        f"{driver} -C opt-level=0 --emit=obj input.rs",
+    ]
     assert cfg.command("x.rs")[0] == driver
 
 
@@ -665,7 +678,7 @@ def test_a_fake_compiler_is_one_spawn_per_compile_and_never_probed(
     lines = logged(log)
     assert len(lines) == 4
     assert all(line.endswith(" -O0 input.rs") for line in lines)
-    assert not any("--print sysroot" in line for line in lines)
+    assert not any(line.startswith("probe ") for line in lines)
 
 
 def _rustup_proxy_on_path() -> bool:
@@ -689,6 +702,42 @@ def test_live_rustup_proxy_runs_the_toolchain_rustc():
         check=True,
     ).stdout.strip()
     cfg = CompilerConfig(binary_path="rustc")
+    outcome = compile_program("fn main() {}\n", cfg)
+    assert classify(outcome, "rustc") is BugKind.PASS, outcome.stderr
+    assert cfg.command("input.rs") == [
+        os.path.join(sysroot, "bin", "rustc"),
+        "-C", "opt-level=0", "--emit=obj", "input.rs",
+    ]
+
+
+def _nightly_installed() -> bool:
+    if not _rustup_proxy_on_path():
+        return False
+    rustup = os.path.join(os.path.dirname(shutil.which("rustc")), "rustup")
+    which = subprocess.run(
+        [rustup, "which", "--toolchain", "nightly", "rustc"],
+        cwd=tempfile.gettempdir(),
+        capture_output=True,
+        timeout=60,
+    )
+    return which.returncode == 0
+
+
+@pytest.mark.skipif(
+    not _nightly_installed(), reason="no rustup proxy with a nightly toolchain"
+)
+def test_live_plus_toolchain_runs_that_toolchain_rustc():
+    sysroot = subprocess.run(
+        ["rustc", "+nightly", "--print", "sysroot"],
+        cwd=tempfile.gettempdir(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.strip()
+    cfg = CompilerConfig(
+        binary_path="rustc", extra_flags=("+nightly", "-C", "opt-level=0", "--emit=obj")
+    )
     outcome = compile_program("fn main() {}\n", cfg)
     assert classify(outcome, "rustc") is BugKind.PASS, outcome.stderr
     assert cfg.command("input.rs") == [
