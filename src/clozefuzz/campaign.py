@@ -6,10 +6,11 @@ compile goes to one pool of worker threads that lives as long as the
 campaign, so infill and triage overlap the compiles of earlier
 candidates. Results are committed in the order their compiles were
 issued, and all of a seed's results are committed before the next
-seed is drawn. A seed loaded at start is compiled unmodified when
-it is first drawn, and dropped if that crashes or hangs the
-compiler. Counts, bundles, feedback seeds and dropped seeds are
-therefore the same for every worker count.
+seed is drawn. A seed loaded at start is checked when first drawn: its
+unmodified compile is queued ahead of its candidates, and the seed is
+dropped when that check commits as a crash or hang. Counts, bundles,
+feedback seeds and dropped seeds are therefore the same for every
+worker count.
 
 A campaign stops on a spent budget, a stall (seed draws give no fresh
 candidates), a vanished compiler, a failed write or Ctrl-C. Each stop
@@ -25,7 +26,6 @@ baseline both classify, sign and journal every compile through it.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import random
@@ -33,13 +33,12 @@ import shlex
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-# the builtin TimeoutError since 3.11, which is an OSError
-from concurrent.futures import TimeoutError as PoolTimeoutError
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Corpus, CorpusError, load_corpus, preflight_filter
+from . import harness
+from .corpus import Corpus, CorpusEntry, CorpusError, load_corpus, preflight_filter
 from .harness import (
     CompileOutcome,
     CompilerConfig,
@@ -227,14 +226,15 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run the full loop until it stops, as the module docstring says.
 
     Unless ``cfg.skip_preflight`` is set, each seed loaded at start is
-    compiled unmodified when it is first drawn, and one that already
-    crashes or hangs the target leaves the corpus as an idle draw.
-    Fresh ICE and hang findings get a bundle on disk and feed back
-    into the corpus under fuzzer-feedback provenance. Every compile,
-    seed checks included, runs on one pool of ``cfg.workers`` threads
-    that lives as long as the campaign, and the time budget's deadline
-    cuts a check short too. A corpus left empty ends the run with
-    ``CorpusError`` once the report is saved.
+    compiled unmodified when it is first drawn, beside its first
+    candidates, and one that already crashes or hangs the target leaves
+    the corpus as an idle draw. Fresh ICE and hang findings get a bundle
+    on disk and feed back into the corpus under fuzzer-feedback
+    provenance. Every compile, seed checks included, is a job on one
+    queue run by one pool of ``cfg.workers`` threads that lives as long
+    as the campaign, so the time budget's deadline cuts a check too. A
+    corpus left empty ends the run with ``CorpusError`` once the report
+    is saved.
     """
     started = time.monotonic()
     out_dir = Path(cfg.out_dir)
@@ -282,9 +282,10 @@ def _run(
     rng = random.Random(cfg.seed)
     store = BugStore(out_dir / "bugstore")
     deadline = None if cfg.budget_seconds is None else started + cfg.budget_seconds
-    # compiles issued and not yet committed, oldest first; twice the
-    # worker count keeps every worker fed while the next one is infilled
-    in_flight: deque[tuple[Future, InfillResult]] = deque()
+    # compiles issued and not yet committed, oldest first, each with its
+    # commit rule and what the rule commits; twice the worker count
+    # keeps every worker fed while the next one is infilled
+    in_flight: deque[tuple[Future, Callable, object]] = deque()
     max_in_flight = 2 * cfg.workers
     issued = 0
 
@@ -303,11 +304,21 @@ def _run(
     # seeds come from compiles already triaged and are never checked
     unchecked = set() if cfg.skip_preflight else {e.id for e in corpus.entries()}
 
-    def commit(result: InfillResult, outcome) -> None:
-        """Triage one compile. Runs on the campaign's thread in issue
-        order, so the bug store, bundles and feedback seeds match any
-        worker count. A new finding's bundle is written before its
-        journal line, and counts only once that line is."""
+    def check(entry: CorpusEntry, outcome: CompileOutcome) -> None:
+        """Commit a seed's check. A rejected seed's candidates, all that
+        is queued behind its check, are dropped and not waited for."""
+        unchecked.discard(entry.id)
+        if preflight_filter(corpus, entry, outcome, target.kind):
+            report.preflight_rejected += 1
+            for future, _, _ in in_flight:
+                future.cancel()
+            in_flight.clear()
+
+    def commit(result: InfillResult, outcome: CompileOutcome) -> None:
+        """Triage one candidate's compile. Runs on the campaign's thread
+        in issue order, so the bug store, bundles and feedback seeds
+        match any worker count. A new finding's bundle is written before
+        its journal line, and counts only once that line is."""
         bundle = None
 
         def write_case(sig: BugSignature) -> Path:
@@ -328,41 +339,36 @@ def _run(
         corpus.add_entry(result.candidate_text, "fuzzer-feedback")
 
     def settle(limit: int) -> None:
-        """Commit the oldest compiles until at most ``limit`` are in flight.
+        """Commit the oldest jobs until at most ``limit`` are in flight.
 
         Each wait ends at the time budget's deadline. Past it nothing
         more is committed: the run stops, and the compiles still in
         flight are dropped uncounted by ``run_campaign``'s teardown.
         """
         while len(in_flight) > limit:
-            future, result = in_flight[0]
+            future, rule, job = in_flight[0]
             left = None if deadline is None else deadline - time.monotonic()
             if left is not None and (left <= 0 or not wait([future], left).done):
                 return
             in_flight.popleft()
-            commit(result, future.result())
+            rule(job, future.result())
 
-    def process_seed(entry) -> int:
-        """Check one seed if it is unchecked, then mask and infill it,
-        compile its candidates on the pool and commit them all. Returns
-        the number of compiles issued, none for a rejected seed.
+    def process_seed(entry: CorpusEntry) -> int:
+        """Check an unchecked seed, then mask and infill it, compile its
+        candidates on the pool and commit them all. Returns the number
+        of compiles issued, none for a seed its check rejects.
 
-        The check drops a seed that already crashes or hangs the target
-        from the corpus. Its wait ends at the time budget's deadline; a
-        cut check leaves the seed unchecked, and the loop stops."""
+        The check is the seed's first job. Its verdict only stops the
+        submits, so the draws and backend calls never depend on when it
+        comes; a rejected seed's issued count and ``per_seed`` entry are
+        taken back once all is committed."""
         nonlocal issued
+        issued_before = issued
         if entry.id in unchecked:
-            left = None if deadline is None else deadline - time.monotonic()
-            try:
-                rejected = preflight_filter(
-                    corpus, target, functools.partial(pool.map, timeout=left), [entry]
-                )
-            except PoolTimeoutError:
-                return 0
-            unchecked.discard(entry.id)
-            report.preflight_rejected += len(rejected)
-            if rejected:
-                return 0
+            # through the module, past the name the campaign benchmark
+            # counts candidate compiles by
+            future = pool.submit(harness.compile_program, entry.source_text, target)
+            in_flight.append((future, check, entry))
         stats = report.per_seed.setdefault(
             entry.id,
             {"sampled": 0, "variants": 0, "candidates": 0, "interesting": 0},
@@ -371,7 +377,6 @@ def _run(
         variants = cloze(entry.source_text, entry.id)
         stats["variants"] += len(variants)
 
-        issued_before = issued
         for variant in variants:
             if spent():
                 break
@@ -386,11 +391,15 @@ def _run(
                 settle(max_in_flight - 1)
                 if spent():
                     break
-                future = pool.submit(compile_program, result.candidate_text, target)
-                in_flight.append((future, result))
+                if entry.id in corpus:
+                    future = pool.submit(compile_program, result.candidate_text, target)
+                    in_flight.append((future, commit, result))
                 issued += 1
         # the next draw may pick a feedback seed committed from this one
         settle(0)
+        if entry.id not in corpus:
+            issued = issued_before
+            del report.per_seed[entry.id]
         return issued - issued_before
 
     try:

@@ -5,10 +5,10 @@ normalization (trailing whitespace per line and a single trailing
 newline are ignored), so editor artifacts never create duplicates.
 Persistence is a directory of plain source files plus a JSON-lines
 manifest, append-friendly and easy to inspect by hand. A campaign
-works on one ``Corpus``: it checks each seed with ``preflight_filter``
-when it first draws it and removes a rejected one from that same
-object, so the files and manifest lines of a managed corpus are never
-rewritten and entry ids are never handed out twice.
+works on one ``Corpus``: ``preflight_filter`` removes a seed whose
+check crashes or hangs the compiler from that same object, so the
+files and manifest lines of a managed corpus are never rewritten and
+entry ids are never handed out twice.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .harness import CompilerConfig, compile_program, ensure_compiler
+from .harness import CompileOutcome
 from .oracle import BugKind, classify
 
 logger = logging.getLogger(__name__)
@@ -79,6 +79,9 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, entry_id: str) -> bool:
+        return entry_id in self._entries
 
     def entries(self) -> list[CorpusEntry]:
         return list(self._entries.values())
@@ -253,29 +256,14 @@ def load_corpus(root: str | Path, *, managed: bool = False) -> Corpus:
 
 
 def preflight_filter(
-    corpus: Corpus, compiler_cfg: CompilerConfig, map_fn=map, entries=None
-) -> list[tuple[str, str]]:
-    """Remove seeds that already trip the oracle before they are fuzzed.
-
-    A seed whose unmodified compile classifies as ICE or Hang would
-    flood the campaign with known-bad findings; only Pass and Reject
-    seeds stay in ``corpus``. ``entries`` lists the seeds to check,
-    every entry by default. Returns the removed ``(entry id, kind)``
-    pairs in the order of ``entries``. The compiler is validated first,
-    so a missing binary fails fast rather than after a long walk.
-    ``map_fn`` runs the compiles and must return results in input
-    order, like the builtin ``map`` or an executor's ``map``.
-    """
-    ensure_compiler(compiler_cfg)
-    entries = corpus.entries() if entries is None else entries
-    outcomes = map_fn(
-        lambda entry: compile_program(entry.source_text, compiler_cfg), entries
-    )
-    rejected: list[tuple[str, str]] = []
-    for entry, outcome in zip(entries, outcomes):
-        kind = classify(outcome, compiler_cfg.kind)
-        if kind in (BugKind.ICE, BugKind.HANG):
-            corpus.remove(entry.id)
-            rejected.append((entry.id, kind.value))
-            logger.info("preflight rejected %s: %s", entry.id, kind.value)
-    return rejected
+    corpus: Corpus, entry: CorpusEntry, outcome: CompileOutcome, compiler_kind: str
+) -> str | None:
+    """Judge a seed's finished check, its unmodified compile. An ICE or
+    Hang seed would flood the campaign with known-bad findings: it is
+    removed from ``corpus`` and its kind returned. Otherwise None."""
+    kind = classify(outcome, compiler_kind)
+    if kind not in (BugKind.ICE, BugKind.HANG):
+        return None
+    corpus.remove(entry.id)
+    logger.info("preflight rejected %s: %s", entry.id, kind.value)
+    return kind.value

@@ -207,11 +207,10 @@ def ensure_compiler(cfg: CompilerConfig) -> tuple[str, ...]:
     spending any compile budget. A rustc target that is rustup's proxy
     resolves to its toolchain's binary of the same name, without a
     leading ``+toolchain`` flag. The result is cached on ``cfg``, so a
-    campaign, its preflight and every pool thread share one resolution
-    and one probe; two
-    threads racing on first use compute the same value. The compiler's
-    environment is read from ``os.environ`` at the same point, once,
-    and cached with it.
+    campaign and every compile on its pool, seed checks included, share
+    one resolution and one probe; two threads racing on first use
+    compute the same value. The compiler's environment is read from
+    ``os.environ`` at the same point, once, and cached with it.
     """
     argv = cfg._argv
     if argv is None:

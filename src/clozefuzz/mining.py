@@ -207,11 +207,21 @@ def fetch_issues_http(
 
 
 _FENCE_OPEN_RE = re.compile(r"^ {0,3}(`{3,}|~{3,})[ \t]*(.*)$")
+_FENCE_CLOSE_RE = re.compile(r"^ {0,3}(`{3,}|~{3,})[ \t]*$")
 
 
 def _fenced_blocks(text: str) -> list[tuple[str, str]]:
-    """(info-string, body) for every properly closed fence in a doc."""
+    """(info-string, body) for every properly closed fence in a doc, in
+    linear time: an unclosed opener is skipped without a scan."""
     lines = text.split("\n")
+    # each line's closing fence, or "" for a line that closes none
+    closers = [m.group(1) if m else "" for m in map(_FENCE_CLOSE_RE.match, lines)]
+    # longest[char][i]: the longest closing fence of ``char`` in lines[i:]
+    longest = {char: [0] * (len(lines) + 1) for char in "`~"}
+    for i in reversed(range(len(lines))):
+        for char, after in longest.items():
+            own = len(closers[i]) if closers[i][:1] == char else 0
+            after[i] = max(own, after[i + 1])
     blocks: list[tuple[str, str]] = []
     i = 0
     while i < len(lines):
@@ -220,26 +230,16 @@ def _fenced_blocks(text: str) -> list[tuple[str, str]]:
             i += 1
             continue
         fence, info = m.group(1), m.group(2).strip()
-        if fence[0] == "`" and "`" in info:
-            # backtick fences cannot carry backticks in the info string
+        if (fence[0] == "`" and "`" in info) or longest[fence[0]][i + 1] < len(fence):
+            # backtick fences cannot carry backticks in the info string,
+            # and an unclosed fence is malformed; skip the opener
             i += 1
             continue
-        close_re = re.compile(rf"^ {{0,3}}{re.escape(fence[0])}{{{len(fence)},}}[ \t]*$")
-        body: list[str] = []
         j = i + 1
-        closed = False
-        while j < len(lines):
-            if close_re.match(lines[j]):
-                closed = True
-                break
-            body.append(lines[j])
+        while not (closers[j][:1] == fence[0] and len(closers[j]) >= len(fence)):
             j += 1
-        if closed:
-            blocks.append((info, "\n".join(body)))
-            i = j + 1
-        else:
-            # unclosed fence is malformed; skip the opener and move on
-            i += 1
+        blocks.append((info, "\n".join(lines[i + 1 : j])))
+        i = j + 1
     return blocks
 
 

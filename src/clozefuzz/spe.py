@@ -40,8 +40,27 @@ class Skeleton:
         return "".join(parts)
 
 
+def _is_open_paren(tok: Token) -> bool:
+    return tok.kind is TokenKind.OPEN_BRACKET and tok.text == "("
+
+
 def _binding_names(sig: list[Token]) -> set[str]:
+    """Names bound by ``let`` or ``let mut``, and fn parameter names.
+
+    A fn's parameter list is the first '(' after its keyword, unless a
+    '{' or ';' comes first. A parameter is an identifier directly
+    followed by ':' whose innermost open '(' is such a list. Linear:
+    one backward pass finds each token's next stop, and one forward
+    pass keeps a stack of the open parentheses.
+    """
+    # next_stop[i]: the first '(', '{' or ';' at or after sig[i]
+    next_stop = [len(sig)] * (len(sig) + 1)
+    for i in reversed(range(len(sig))):
+        stop = _is_open_paren(sig[i]) or sig[i].text in ("{", ";")
+        next_stop[i] = i if stop else next_stop[i + 1]
     names: set[str] = set()
+    param_lists: set[int] = set()
+    parens: list[int] = []
     for i, tok in enumerate(sig):
         if tok.kind is TokenKind.KEYWORD and tok.text == "let":
             j = i + 1
@@ -50,45 +69,23 @@ def _binding_names(sig: list[Token]) -> set[str]:
             if j < len(sig) and sig[j].kind is TokenKind.IDENTIFIER:
                 names.add(sig[j].text)
         elif tok.kind is TokenKind.KEYWORD and tok.text == "fn":
-            names.update(_param_names(sig, i))
-    return names
-
-
-def _param_names(sig: list[Token], fn_idx: int) -> set[str]:
-    """Parameter names of the fn whose keyword sits at fn_idx.
-
-    Walks to the parameter list's parentheses and collects identifiers
-    directly followed by ':' at the list's own nesting level.
-    """
-    names: set[str] = set()
-    i = fn_idx + 1
-    # skip name and any generic parameter noise before the open paren
-    while i < len(sig) and not (
-        sig[i].kind is TokenKind.OPEN_BRACKET and sig[i].text == "("
-    ):
-        if sig[i].text in ("{", ";"):
-            return names
-        i += 1
-    if i >= len(sig):
-        return names
-    depth = 0
-    while i < len(sig):
-        tok = sig[i]
-        if tok.kind is TokenKind.OPEN_BRACKET and tok.text == "(":
-            depth += 1
+            stop = next_stop[i + 1]
+            if stop < len(sig) and _is_open_paren(sig[stop]):
+                param_lists.add(stop)
+        elif _is_open_paren(tok):
+            parens.append(i)
         elif tok.kind is TokenKind.CLOSE_BRACKET and tok.text == ")":
-            depth -= 1
-            if depth == 0:
-                return names
+            if parens:
+                parens.pop()
         elif (
-            depth == 1
+            parens
+            and parens[-1] in param_lists
             and tok.kind is TokenKind.IDENTIFIER
             and i + 1 < len(sig)
             and sig[i + 1].kind is TokenKind.PUNCT
             and sig[i + 1].text == ":"
         ):
             names.add(tok.text)
-        i += 1
     return names
 
 

@@ -279,7 +279,8 @@ def test_criterion_11_live_rustc_smoke(tmp_path):
 
     corpus = Corpus()
     corpus.add_entry("fn main() {}", "test-suite")
-    assert preflight_filter(corpus, CompilerConfig(binary_path="rustc")) == []
+    (entry,) = corpus.entries()
+    assert preflight_filter(corpus, entry, live, "rustc") is None
     assert [e.source_text for e in corpus.entries()] == ["fn main() {}"]
 
     corpus_dir = tmp_path / "corpus"

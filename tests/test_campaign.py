@@ -649,6 +649,31 @@ class TestFailureModes:
         with pytest.raises(CorpusError):
             run_campaign(cfg)
 
+    def test_a_seed_that_hangs_on_its_check_costs_one_timeout(
+        self, tmp_path, scripted
+    ):
+        # the check and one candidate hang side by side; the candidates
+        # queued behind them are dropped with the seed, not waited for
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "slow.rs").write_text(SEED_FEATURE + "// SLOWMARK\n", encoding="utf-8")
+        compiler = CompilerConfig(
+            binary_path=scripted("trigger", TRIGGER_BODY),
+            kind="scripted-fake",
+            timeout_secs=1.0,
+        )
+        cfg = make_config(
+            d, tmp_path, compiler, ["a()", "b()", "c()"], budget=3, workers=2
+        )
+        began = time.monotonic()
+        with pytest.raises(CorpusError):
+            run_campaign(cfg)
+        assert time.monotonic() - began < 1.5
+        saved = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert saved["preflight_rejected"] == 1
+        assert saved["candidates_compiled"] == saved["seeds_sampled"] == 0
+        assert saved["per_seed"] == {}
+
     def test_missing_compiler_fails_before_any_work(self, corpus_dir, tmp_path):
         compiler = CompilerConfig(binary_path="/no/such/rustc")
         cfg = make_config(corpus_dir, tmp_path, compiler, ["x()"], budget=5)
@@ -723,7 +748,7 @@ class TestDeterminismAcrossWorkers:
         monkeypatch.setattr(campaign, "classify", logged_classify)
         cfg = make_config(
             root / "corpus", root, compiler, list(self.FILLS),
-            budget=49, workers=workers, seed=3,
+            budget=50, workers=workers, seed=3,
         )
         report = run_campaign(cfg).to_dict()
         monkeypatch.undo()
@@ -766,8 +791,8 @@ class TestDeterminismAcrossWorkers:
         report, bundles, journal, feedback, draws, per_draw = runs[0]
         # the inputs exercise what concurrency could reorder
         assert report["preflight_rejected"] == 1
-        assert report["candidates_compiled"] == 49
-        assert report["candidates_generated"] > 49  # budget lands mid-variant
+        assert report["candidates_compiled"] == 50
+        assert report["candidates_generated"] > 50  # budget lands mid-variant
         assert max(n for tag, n in draws if tag == "infill") > 1
         assert feedback and bundles and len(journal) == len(report["bundles"])
         assert any("ice" in outcomes[:-1] for outcomes in per_draw)  # mid-seed

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import TRIGGER_BODY
@@ -15,7 +14,7 @@ from clozefuzz.corpus import (
     normalize_source,
     preflight_filter,
 )
-from clozefuzz.harness import CompilerConfig, HarnessError
+from clozefuzz.harness import CompilerConfig, compile_program
 
 
 def test_normalization_ignores_editor_artifacts():
@@ -205,6 +204,31 @@ def test_open_never_reissues_a_listed_id(tmp_path):
     assert reopened.add_entry("fn b() {}", "user-supplied") == ("s000008", True)
 
 
+def test_a_seed_edited_after_its_manifest_line_keeps_its_new_hash(tmp_path, caplog):
+    store = tmp_path / "corpus"
+    eid, _ = Corpus(store).add_entry("fn a() {}", "test-suite")
+    (store / "seeds" / f"{eid}.rs").write_text("fn b() {}", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="clozefuzz.corpus"):
+        reopened = Corpus.open(store)
+    (record,) = caplog.records
+    assert "hash mismatch" in record.getMessage()
+    entry = reopened.get(eid)
+    assert entry.source_text == "fn b() {}"
+    assert entry.content_hash == content_hash("fn b() {}") != content_hash("fn a() {}")
+
+
+def check_all(corpus: Corpus, cfg: CompilerConfig) -> list[tuple[str, str]]:
+    """Check every seed of ``corpus`` in entry order, as a campaign
+    checks each seed it draws; returns the dropped ``(id, kind)``s."""
+    dropped = []
+    for entry in corpus.entries():
+        outcome = compile_program(entry.source_text, cfg)
+        kind = preflight_filter(corpus, entry, outcome, cfg.kind)
+        if kind is not None:
+            dropped.append((entry.id, kind))
+    return dropped
+
+
 def test_preflight_keeps_pass_and_reject_only(scripted, tmp_path):
     compiler = scripted("trigger", TRIGGER_BODY)
     cfg = CompilerConfig(
@@ -216,7 +240,7 @@ def test_preflight_keeps_pass_and_reject_only(scripted, tmp_path):
     ice_id, _ = corpus.add_entry("fn i() {} // 0xBUG", "user-supplied")
     hang_id, _ = corpus.add_entry("fn h() {} // SLOWMARK", "user-supplied")
 
-    rejected = preflight_filter(corpus, cfg)
+    rejected = check_all(corpus, cfg)
     assert {e.id for e in corpus.entries()} == {ok_id, rej_id}
     assert dict(rejected) == {ice_id: "ice", hang_id: "hang"}
 
@@ -233,7 +257,7 @@ def test_preflight_removes_in_place_and_keeps_ids(scripted, tmp_path):
     ice_id, _ = corpus.add_entry("fn i() {} // 0xBUG", "test-suite")
     manifest = (store / "manifest.jsonl").read_text()
 
-    assert preflight_filter(corpus, cfg) == [(ice_id, "ice")]
+    assert check_all(corpus, cfg) == [(ice_id, "ice")]
     assert [e.id for e in corpus.entries()] == [ok_id]
     assert corpus.storage_dir == store
     # the rejected seed stays on disk, and its id is not handed out again
@@ -241,42 +265,3 @@ def test_preflight_removes_in_place_and_keeps_ids(scripted, tmp_path):
     new_id, _ = corpus.add_entry("fn new() {}", "fuzzer-feedback")
     assert new_id not in (ok_id, ice_id)
     assert (store / "seeds" / f"{ice_id}.rs").read_text() == "fn i() {} // 0xBUG"
-
-
-def test_preflight_on_a_pool_keeps_entry_order(scripted):
-    # earlier seeds nap longer, so the compiles finish in reverse order
-    body = """
-    for a in "$@"; do src="$a"; done
-    sleep "$(sed -n 's/.*nap \\([0-9.]*\\).*/\\1/p' "$src")"
-    if grep -q "0xBUG" "$src"; then
-      echo "error: internal compiler error: seeded" >&2
-      exit 101
-    fi
-    exit 0
-    """
-    cfg = CompilerConfig(
-        binary_path=scripted("napper", body), kind="scripted-fake", timeout_secs=5.0
-    )
-    def napping_corpus() -> Corpus:
-        corpus = Corpus()
-        for i, mark in enumerate(["", " 0xBUG", "", " 0xBUG", ""]):
-            corpus.add_entry(f"fn f{i}() {{}} // nap 0.{4 - i}{mark}", "user-supplied")
-        return corpus
-
-    serial = napping_corpus()
-    ids = [e.id for e in serial.entries()]
-    serial_rejected = preflight_filter(serial, cfg)
-    pooled = napping_corpus()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        pooled_rejected = preflight_filter(pooled, cfg, pool.map)
-    for kept, rejected in ((serial, serial_rejected), (pooled, pooled_rejected)):
-        assert [e.id for e in kept.entries()] == [ids[0], ids[2], ids[4]]
-        assert rejected == [(ids[1], "ice"), (ids[3], "ice")]
-
-
-def test_preflight_missing_compiler_fails_before_compiling():
-    corpus = Corpus()
-    corpus.add_entry("fn ok() {}", "user-supplied")
-    cfg = CompilerConfig(binary_path="/nonexistent/rustc-missing")
-    with pytest.raises(HarnessError):
-        preflight_filter(corpus, cfg)

@@ -271,6 +271,68 @@ def test_without_cc_compiles_are_spawned_and_that_is_said_once(
     assert "(cc)" in record.getMessage()
 
 
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty cache directory and no verdict yet for any target;
+    returns the directory the shim and its verdicts would go to."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(harness, "_verdicts", {})
+    return tmp_path / "cache" / "clozefuzz"
+
+
+def spawned_with_one_warning(caplog) -> str:
+    """Compile three times where no server may serve the target; return
+    the one warning that said so. The script prints its parent for
+    every program, with shell builtins only."""
+    cfg = CompilerConfig(
+        binary_path="/bin/sh",
+        kind="scripted-fake",
+        extra_flags=("-c", "echo $PPID", "sh"),
+    )
+    with caplog.at_level(logging.WARNING, logger="clozefuzz.harness"):
+        outcomes = [served(HAZARD, cfg) for _ in range(3)]
+    assert [o.stdout for o in outcomes] == [f"{os.getpid()}\n"] * 3
+    assert not server_pids()
+    (record,) = caplog.records
+    assert "compiling by spawn" in record.getMessage()
+    return record.getMessage()
+
+
+@needs_cc
+def test_a_self_check_that_differs_leaves_every_compile_spawned(fresh_cache, caplog):
+    # the self-check's program prints its parent too: the server there,
+    # this process when spawned
+    message = spawned_with_one_warning(caplog)
+    assert "differs from a spawned one" in message
+    # the shim was built, but no passing verdict was kept beside it
+    assert list(fresh_cache.glob("*.so"))
+    assert not list(fresh_cache.glob("*.ok"))
+
+
+def test_a_failing_cc_leaves_no_shim_behind(fresh_cache, tmp_path, monkeypatch, caplog):
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    (bindir / "cc").write_text('#!/bin/sh\necho "cc: out of order" >&2\nexit 1\n')
+    (bindir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bindir))
+    message = spawned_with_one_warning(caplog)
+    assert "cc could not build it: cc: out of order" in message
+    assert not list(fresh_cache.glob("*.so"))
+
+
+def test_a_relative_cache_home_is_refused(fresh_cache, monkeypatch, caplog):
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    assert "no absolute cache directory" in spawned_with_one_warning(caplog)
+
+
+def test_a_cache_directory_others_can_use_is_refused(fresh_cache, caplog):
+    fresh_cache.mkdir(parents=True)
+    fresh_cache.chmod(0o755)
+    message = spawned_with_one_warning(caplog)
+    assert "is not a directory only this user can use" in message
+    assert not list(fresh_cache.iterdir())
+
+
 def test_a_server_that_never_answers_is_stopped_and_spawning_takes_over(
     monkeypatch, caplog
 ):

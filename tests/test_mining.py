@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from datetime import datetime, timezone
 
 import pytest
@@ -82,6 +83,15 @@ class TestFenceExtraction:
         assert [s.text for s in extract_snippets(issue(kept))] == ["fn a() {}"]
         too_deep = "    ```rust\nfn b() {}\n    ```"
         assert extract_snippets(issue(too_deep)) == []
+
+    def test_unclosed_openers_are_skipped_in_linear_time(self):
+        # no backtick line closes any of the openers, so a forward scan
+        # per opener would be quadratic in the body's lines
+        body = "````\n" + "```x\n" * 8000 + "~~~rust\nfn ok() {}\n~~~"
+        started = time.perf_counter()
+        snippets = extract_snippets(issue(body))
+        assert time.perf_counter() - started < 1.0
+        assert [s.text for s in snippets] == ["fn ok() {}"]
 
     def test_ordinals_span_body_and_comments(self):
         body = "```rust\nfn one() {}\n```"

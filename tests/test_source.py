@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,49 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["line 2: d"]
     kept = "from . import a  # noqa: F401\nfrom . import b  # noqa: E501\n"
     assert unused_imports(kept) == ["line 2: b"]
+
+
+def mentions(node: ast.AST) -> Counter:
+    """How often ``node`` names each name: read bare, as an attribute,
+    or imported."""
+    found: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rpartition(".")[2]] += 1
+    return found
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of ``sources`` (file name to
+    text) that no source names outside their own definition. Dunders
+    are exempt."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((mentions(tree) for tree in trees.values()), Counter())
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] == mentions(node)[node.name]
+    ]
+
+
+def test_the_check_sees_a_dead_definition():
+    sources = {
+        "a.py": "def used(): pass\ndef recursive(): recursive()\nclass Dead: pass\n",
+        "b.py": "from a import used\ndef __getattr__(name): pass\n",
+    }
+    assert dead_definitions(sources) == ["a.py: recursive", "a.py: Dead"]
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert dead_definitions(sources) == []
 
 
 def test_the_package_root_loads_every_module_but_the_cli():

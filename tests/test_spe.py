@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -55,6 +56,23 @@ class TestExtraction:
         # receiver of s.v, and the bare s
         skeleton = extract_variables(src)
         assert skeleton.occurrences == ["v", "s", "s", "s", "s"]
+
+    @pytest.mark.parametrize(
+        "src, occurrences",
+        [
+            # no fn ever reaches a parameter list
+            ("fn f " * 10000, []),
+            # every list stays open, each nested in the one before
+            ("fn f(a: i32, " * 4000, ["a"] * 4000),
+        ],
+        ids=["no-list", "unclosed-lists"],
+    )
+    def test_parameter_scan_is_linear(self, src, occurrences):
+        # a forward scan per fn would be quadratic on either shape
+        started = time.perf_counter()
+        skeleton = extract_variables(src)
+        assert time.perf_counter() - started < 1.0
+        assert skeleton.occurrences == occurrences
 
     def test_no_bindings_no_occurrences(self):
         assert extract_variables("fn main() {}").occurrences == []
