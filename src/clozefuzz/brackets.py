@@ -17,6 +17,7 @@ d drops the stacks whose tuple has k-component d. Fused tokens (<<,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,7 +40,7 @@ _PUNCT, _IDENTIFIER = TokenKind.PUNCT, TokenKind.IDENTIFIER
 _WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
 
 
-@dataclass
+@dataclass(slots=True)
 class BracketSpan:
     kind: BracketKind
     open_at: int
@@ -62,10 +63,11 @@ class BracketSpan:
         }
 
 
-def _match_pairs(tokens: list[Token]) -> list[tuple[BracketKind, int, int]]:
+def _match_pairs(tokens: Iterable[Token]) -> list[tuple[BracketKind, int, int]]:
     """Every (), {}, [] pair and every generic angle pair, by the
-    single-pass rules above. Whitespace and comments are skipped, so
-    ``tokens`` may be a whole token stream or its significant tokens."""
+    single-pass rules above, from ``tokens`` read once, in order.
+    Whitespace and comments are skipped, so ``tokens`` may be a whole
+    token stream or its significant tokens."""
     pairs: list[tuple[BracketKind, int, int]] = []
     opened: list[tuple[int, int]] = []  # (kind index, open_at), innermost last
     depth = [0, 0, 0]  # per kind index
@@ -114,11 +116,14 @@ def _match_pairs(tokens: list[Token]) -> list[tuple[BracketKind, int, int]]:
     return pairs
 
 
-def find_spans(source: str, tokens: list[Token] | None = None) -> list[BracketSpan]:
+def find_spans(
+    source: str, tokens: Iterable[Token] | None = None
+) -> list[BracketSpan]:
     """Every span of ``find_bracket_pairs`` in depth-first pre-order,
     which is (open_at, -close_at) order. ``tokens`` is
     ``lex(source).tokens``, or only its significant tokens, when the
-    caller already has it."""
+    caller has them: any iterable that yields them in order, read
+    once."""
     if tokens is None:
         tokens = lex(source).tokens
     spans = [BracketSpan(*pair) for pair in _match_pairs(tokens)]

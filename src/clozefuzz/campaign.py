@@ -30,6 +30,7 @@ import json
 import logging
 import random
 import shlex
+import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -304,12 +305,18 @@ def _run(
     # seeds come from compiles already triaged and are never checked
     unchecked = set() if cfg.skip_preflight else {e.id for e in corpus.entries()}
 
-    def check(entry: CorpusEntry, outcome: CompileOutcome) -> None:
+    def check(
+        job: tuple[CorpusEntry, threading.Event], outcome: CompileOutcome
+    ) -> None:
         """Commit a seed's check. A rejected seed's candidates, all that
-        is queued behind its check, are dropped and not waited for."""
+        is in flight behind its check, are dropped and not waited for:
+        the queued ones are cancelled, and the draw's event is set, which
+        kills those running or about to start."""
+        entry, draw = job
         unchecked.discard(entry.id)
         if preflight_filter(corpus, entry, outcome, target.kind):
             report.preflight_rejected += 1
+            draw.set()
             for future, _, _ in in_flight:
                 future.cancel()
             in_flight.clear()
@@ -364,11 +371,12 @@ def _run(
         taken back once all is committed."""
         nonlocal issued
         issued_before = issued
+        draw = threading.Event()  # set by a check that rejects the seed
         if entry.id in unchecked:
             # through the module, past the name the campaign benchmark
             # counts candidate compiles by
             future = pool.submit(harness.compile_program, entry.source_text, target)
-            in_flight.append((future, check, entry))
+            in_flight.append((future, check, (entry, draw)))
         stats = report.per_seed.setdefault(
             entry.id,
             {"sampled": 0, "variants": 0, "candidates": 0, "interesting": 0},
@@ -392,7 +400,9 @@ def _run(
                 if spent():
                     break
                 if entry.id in corpus:
-                    future = pool.submit(compile_program, result.candidate_text, target)
+                    future = pool.submit(
+                        compile_program, result.candidate_text, target, cancel=draw
+                    )
                     in_flight.append((future, commit, result))
                 issued += 1
         # the next draw may pick a feedback seed committed from this one

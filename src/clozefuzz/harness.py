@@ -19,6 +19,9 @@ prints them under ``-Ztime-passes``, which callers opt into through
 the compiler flags) without compiling the program again.
 A compile is registered while it runs, so ``killing_compiles`` can
 stop them all at once when a campaign ends with compiles in flight.
+A compile given a ``cancel`` event is killed the same way at its first
+beat after the event is set, so one caller can drop its own compiles
+and leave the others running.
 
 A rustc target's compiles go through a fork server, one per compiling
 thread, which pays the compiler's start-up (loading and relocating
@@ -307,7 +310,10 @@ def _drain(fd: int, kept: bytearray, limit: int) -> int | None:
 
 
 def _communicate(
-    pid: int, fds: tuple[int, int], timeout: float
+    pid: int,
+    fds: tuple[int, int],
+    timeout: float,
+    cancel: threading.Event | None = None,
 ) -> tuple[bytes, bytes, bool]:
     """Capture the compile ``pid`` until it exits, from the read ends
     ``fds`` of its stdout and stderr, keeping at most ``STREAM_CAP`` + 1
@@ -320,11 +326,13 @@ def _communicate(
     emptied without blocking at every beat. A pipe found full is then
     read as soon as it is readable, so a loud compiler waits at most
     one beat on a full pipe and ends with its own exit status. On
-    timeout its process group is killed. Once the compiler has exited,
-    its group is killed and what the pipes already hold is read, up to
-    the cap: a process that left the group may hold them open and write
-    forever, and is not waited for. The compiler is left unreaped, for
-    the caller. Returns ``(stdout, stderr, timed out)``.
+    timeout its process group is killed, and so it is at the first beat,
+    the very start included, that finds ``cancel`` set; a cancelled
+    compile has not timed out. Once the compiler has exited, its group
+    is killed and what the pipes already hold is read, up to the cap: a
+    process that left the group may hold them open and write forever,
+    and is not waited for. The compiler is left unreaped, for the
+    caller. Returns ``(stdout, stderr, timed out)``.
     """
     deadline = time.monotonic() + timeout
     out, err = bytearray(), bytearray()
@@ -335,7 +343,7 @@ def _communicate(
     for fd in kept:
         os.set_blocking(fd, False)
         open_pipes[fd] = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
-    timed_out = False
+    killed = timed_out = False
     # poll, not epoll, which makes and closes a kernel object per compile
     poller = select.poll()
     # readable once the compiler has exited, and still unreaped
@@ -344,10 +352,10 @@ def _communicate(
         poller.register(pidfd, select.POLLIN)
         while True:
             left = deadline - time.monotonic()
-            if left <= 0 and not timed_out:
-                timed_out = True
+            if not killed and (left <= 0 or cancel is not None and cancel.is_set()):
+                killed, timed_out = True, left <= 0
                 _kill_process_group(pid)
-            wait = None if timed_out else min(left, _BEAT) * 1000
+            wait = None if killed else min(left, _BEAT) * 1000
             if any(fd == pidfd for fd, _ in poller.poll(wait)):
                 break
             for fd, limit in list(open_pipes.items()):
@@ -389,6 +397,7 @@ _killing = False
 def _capture(
     start: Callable[[int, int], tuple[int, Callable[[], int | None]]],
     timeout: float,
+    cancel: threading.Event | None = None,
 ) -> tuple[int | None, bytes, bytes, bool, float]:
     """Run one compile and capture what it prints.
 
@@ -396,7 +405,8 @@ def _capture(
     its output and returns its pid and a function that reaps it and
     returns its exit status, or None when the status is lost. However
     the call ends, Ctrl-C included, a compiler still running is killed
-    with its group and reaped. Returns ``(exit status, stdout, stderr,
+    with its group and reaped; so it is once ``cancel`` is set, as
+    ``_communicate`` says. Returns ``(exit status, stdout, stderr,
     timed out, wall time)``; the wall time runs from just before the
     start to the end of capture.
     """
@@ -414,7 +424,7 @@ def _capture(
             _running.add(pid)
             if _killing:
                 _kill_process_group(pid)
-        out, err, timed_out = _communicate(pid, (out_r, err_r), timeout)
+        out, err, timed_out = _communicate(pid, (out_r, err_r), timeout, cancel)
         wall = time.monotonic() - started
     finally:
         os.close(out_r)
@@ -777,7 +787,9 @@ def killing_compiles():
             _retire(workdir)
 
 
-def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
+def compile_program(
+    program: str, cfg: CompilerConfig, cancel: threading.Event | None = None
+) -> CompileOutcome:
     """Compile one program text and report what happened.
 
     The compiler runs in this thread's scratch directory, made under
@@ -791,11 +803,18 @@ def compile_program(program: str, cfg: CompilerConfig) -> CompileOutcome:
     is killed with its group and reaped, and the directory emptied.
     A rustc target's compiles go through this thread's fork server
     when the target passes its check, and are spawned otherwise.
+    Once ``cancel`` is set, the compile is killed within a beat, or as
+    it starts, and the call returns the outcome of a killed process.
     """
-    return _compile(program, cfg, cfg.kind == "rustc")
+    return _compile(program, cfg, cfg.kind == "rustc", cancel)
 
 
-def _compile(program: str, cfg: CompilerConfig, serve: bool) -> CompileOutcome:
+def _compile(
+    program: str,
+    cfg: CompilerConfig,
+    serve: bool,
+    cancel: threading.Event | None = None,
+) -> CompileOutcome:
     """``compile_program``, through a fork server only when ``serve`` is
     set. A compile whose server is lost is compiled again by spawn, and
     the thread's next compile starts a fresh server."""
@@ -806,14 +825,16 @@ def _compile(program: str, cfg: CompilerConfig, serve: bool) -> CompileOutcome:
         ran = None
         if server is not None:
             with suppress(OSError):
-                ran = _capture(server.start, cfg.timeout_secs)
+                ran = _capture(server.start, cfg.timeout_secs, cancel)
             if ran is None or ran[0] is None:
                 _retire(workdir)
                 ran = None
         if ran is None:
             try:
                 ran = _capture(
-                    functools.partial(_popen, cmd, workdir, cfg._env), cfg.timeout_secs
+                    functools.partial(_popen, cmd, workdir, cfg._env),
+                    cfg.timeout_secs,
+                    cancel,
                 )
             except OSError as exc:
                 raise HarnessError(f"failed to spawn {cmd[0]}: {exc}") from exc

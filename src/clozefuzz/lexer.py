@@ -5,6 +5,15 @@ bracket structure without being fooled by string literals, comments,
 char literals, or lifetimes. The stream is lossless: concatenating the
 token texts reproduces the input byte for byte.
 
+``lex`` stores its result compactly, as ``Tokens``: the end offset of
+each token in one ``array('q')`` and its kind, as an index into
+``TokenKind``, in one byte of a ``bytearray``, about 9 bytes a token.
+A token starts where the one before it ends, so neither its start nor
+its text is stored. A ``Token`` tuple, with its text sliced from the
+source, is made only when it is read, by iteration or by index, and is
+dropped once its reader is done with it. So a pass that reads the
+tokens once holds one token at a time, not the whole stream.
+
 ``_RULES`` is the one statement of the lexical rules: one row per
 token kind, compiled into a single pattern that is matched at each
 position. Alternation in ``re`` is ordered, not longest-match, so the
@@ -32,6 +41,8 @@ identifier and never starts or continues a number. rustc agrees on
 from __future__ import annotations
 
 import re
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -58,9 +69,43 @@ class Token(NamedTuple):
     text: str
 
 
+# a kind's code in Tokens is its index here
+_KINDS = tuple(TokenKind)
+
+
+class Tokens(Sequence[Token]):
+    """The tokens of ``source``, read-only: token i ends at ``ends[i]``
+    and its kind is ``_KINDS[kinds[i]]``."""
+
+    __slots__ = ("_source", "_ends", "_kinds")
+
+    def __init__(self, source: str, ends: array, kinds: bytearray) -> None:
+        self._source, self._ends, self._kinds = source, ends, kinds
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, index: int) -> Token:
+        i = range(len(self._ends))[index]  # a negative index counts back
+        start = self._ends[i - 1] if i else 0
+        end = self._ends[i]
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple,
+        # which costs more than the tuple itself
+        return tuple.__new__(
+            Token, (_KINDS[self._kinds[i]], start, end, self._source[start:end])
+        )
+
+    def __iter__(self) -> Iterator[Token]:
+        source, kinds, new = self._source, _KINDS, tuple.__new__
+        start = 0
+        for code, end in zip(self._kinds, self._ends):
+            yield new(Token, (kinds[code], start, end, source[start:end]))
+            start = end
+
+
 @dataclass
 class LexResult:
-    tokens: list[Token]
+    tokens: Tokens
 
 
 KEYWORDS = frozenset(
@@ -118,15 +163,18 @@ _RULES = (
 
 _TOKEN = re.compile("|".join(f"(?P<{name}>{rule})" for name, rule in _RULES))
 _COMMENT_DELIMITER = re.compile(r"/\*|\*/")
-# row name -> kind; WORD is missing, it depends on the text
-_KIND = dict(TokenKind.__members__, BLOCK_COMMENT=TokenKind.COMMENT)
+# row name -> kind code; WORD is missing, it depends on the text
+_CODE = {kind.name: code for code, kind in enumerate(_KINDS)}
+_CODE["BLOCK_COMMENT"] = _CODE["COMMENT"]
+_KEYWORD_CODE, _IDENTIFIER_CODE = _CODE["KEYWORD"], _CODE["IDENTIFIER"]
 # looking a member up on an Enum class per token costs more than the
 # test it feeds, so the per-token filters below compare these
 _WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
 
 
 def lex(source: str) -> LexResult:
-    tokens: list[Token] = []
+    ends = array("q")
+    kinds = bytearray()
     n = len(source)
     pos = 0
     while pos < n:
@@ -139,17 +187,17 @@ def lex(source: str) -> LexResult:
                 if not depth:
                     end = delimiter.end()
                     break
-        text = source[pos:end]
         if name == "WORD":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+            code = _KEYWORD_CODE if source[pos:end] in KEYWORDS else _IDENTIFIER_CODE
         else:
-            kind = _KIND[name]
-        tokens.append(Token(kind, pos, end, text))
+            code = _CODE[name]
+        kinds.append(code)
+        ends.append(end)
         pos = end
-    return LexResult(tokens=tokens)
+    return LexResult(tokens=Tokens(source, ends, kinds))
 
 
-def significant_tokens(tokens: list[Token]) -> list[Token]:
+def significant_tokens(tokens: Iterable[Token]) -> list[Token]:
     """Tokens that matter for structure: everything except whitespace
     and comments."""
     return [t for t in tokens if t.kind is not _WHITESPACE and t.kind is not _COMMENT]

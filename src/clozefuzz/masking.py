@@ -5,32 +5,38 @@ interior is replaced by a backend-specific sentinel at render time.
 The delimiters themselves always stay in the text, so the completion
 model sees the syntactic scaffolding around the hole.
 
-``cloze`` lexes a seed once, drops its whitespace and comments once,
-and takes both the spans and the feature attribute ranges from the
-tokens that are left. A variant is a view: it holds the seed text
-itself in ``source`` plus its span and slices ``prefix``, ``suffix``
-and ``original_interior`` out of it on demand, so masking costs memory
-linear in the seed, whatever its span count. An infill request is a
-view of its variant in turn (``infill.CompletionRequest``): the masked
-text exists only while a backend that sends or hashes it builds it
-with ``render``.
+``cloze`` lexes a seed once and reads its tokens in one streamed pass:
+each token is passed on to ``find_spans`` as it is made, and the
+feature attributes are noted on the way, so no list of tokens is
+built. Besides the compact token store of ``lex`` (about 9 bytes a
+token) and the spans, masking holds one token at a time. A variant is
+a view: it holds the seed text itself in ``source`` plus its span and
+slices ``prefix``, ``suffix`` and ``original_interior`` out of it on
+demand, so masking costs memory linear in the seed, whatever its span
+count. An infill request is a view of its variant in turn
+(``infill.CompletionRequest``): the masked text exists only while a
+backend that sends or hashes it builds it with ``render``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .brackets import BracketKind, BracketSpan, find_spans
-from .lexer import Token, TokenKind, lex, significant_tokens
+from .lexer import Token, TokenKind, lex
 
 # compared per token and per span: a member looked up on its Enum class
 # each time costs more than the comparison
 _PUNCT, _IDENTIFIER = TokenKind.PUNCT, TokenKind.IDENTIFIER
 _OPEN = TokenKind.OPEN_BRACKET
+_WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
 _SQUARE = BracketKind.SQUARE
+# stands for the tokens before the first, which match nothing
+_NOTHING = Token(_WHITESPACE, 0, 0, "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskedVariant:
     seed_id: str
     span: BracketSpan
@@ -51,41 +57,47 @@ class MaskedVariant:
         return self.source[lo:hi]
 
 
-def _attribute_ranges(
-    sig: list[Token], spans: list[BracketSpan]
+def _noting_gates(
+    tokens: Iterable[Token], gates: list[tuple[int, int]]
+) -> Iterator[Token]:
+    """Pass on ``tokens``, which are in order, and as they go append to
+    ``gates`` the offsets of the '#' and the '[' of each
+    ``#[feature(`` and ``#![feature(``, modulo whitespace and comments."""
+    # the last four significant tokens, newest first
+    p1 = p2 = p3 = p4 = _NOTHING
+    for tok in tokens:
+        yield tok
+        kind = tok.kind
+        if kind is _WHITESPACE or kind is _COMMENT:
+            continue
+        if (
+            kind is _OPEN
+            and tok.text == "("
+            and p1.kind is _IDENTIFIER
+            and p1.text == "feature"
+            and p2.kind is _OPEN
+            and p2.text == "["
+            and p3.kind is _PUNCT
+        ):
+            if p3.text == "#":
+                gates.append((p3.start, p2.start))
+            elif p3.text == "!" and p4.kind is _PUNCT and p4.text == "#":
+                gates.append((p4.start, p2.start))
+        p4, p3, p2, p1 = p3, p2, p1, tok
+
+
+def _gate_ranges(
+    gates: list[tuple[int, int]], spans: list[BracketSpan]
 ) -> list[tuple[int, int]]:
-    """Character ranges of feature-gate attributes, in textual order,
-    from the significant tokens ``sig`` and their spans.
-
-    Matches `#![feature(...)]` and `#[feature(...)]` modulo whitespace
-    and comments, from the '#' through the closing ']'. Ranges are
-    half-open.
-    """
-    square_close = {
-        s.open_at: s.close_at for s in spans if s.kind is _SQUARE
-    }
-
-    def tok(i: int, kind: TokenKind, text: str) -> bool:
-        return i < len(sig) and sig[i].kind is kind and sig[i].text == text
-
-    ranges: list[tuple[int, int]] = []
-    for i, t in enumerate(sig):
-        if not (t.kind is _PUNCT and t.text == "#"):
-            continue
-        j = i + 1
-        if tok(j, _PUNCT, "!"):
-            j += 1
-        if not tok(j, _OPEN, "["):
-            continue
-        if not tok(j + 1, _IDENTIFIER, "feature"):
-            continue
-        if not tok(j + 2, _OPEN, "("):
-            continue
-        close_at = square_close.get(sig[j].start)
-        if close_at is None:
-            continue
-        ranges.append((t.start, close_at + 1))
-    return ranges
+    """Character ranges, half-open and in textual order, of the
+    feature-gate attributes noted in ``gates``: each from its '#'
+    through the ']' that closes its '['. An unclosed '[' has none."""
+    square_close = {s.open_at: s.close_at for s in spans if s.kind is _SQUARE}
+    return [
+        (hash_at, square_close[square_at] + 1)
+        for hash_at, square_at in gates
+        if square_at in square_close
+    ]
 
 
 def cloze(source: str, seed_id: str = "") -> list[MaskedVariant]:
@@ -95,9 +107,9 @@ def cloze(source: str, seed_id: str = "") -> list[MaskedVariant]:
     legitimate mutation. A variant is special when its pair lies inside
     a feature-gate attribute.
     """
-    sig = significant_tokens(lex(source).tokens)
-    spans = find_spans(source, sig)
-    ranges = _attribute_ranges(sig, spans)
+    gates: list[tuple[int, int]] = []
+    spans = find_spans(source, _noting_gates(lex(source).tokens, gates))
+    ranges = _gate_ranges(gates, spans)
     variants: list[MaskedVariant] = []
     # spans and ranges both ascend by start: a span lies inside a range
     # exactly when it closes before the furthest end of those opened

@@ -18,7 +18,7 @@ from clozefuzz.brackets import (
     find_spans,
 )
 from clozefuzz.lexer import Token, TokenKind, lex, significant_tokens
-from clozefuzz.masking import _attribute_ranges
+from clozefuzz.masking import _gate_ranges, _noting_gates
 
 # --- independent bracket oracle ---------------------------------------------
 #
@@ -140,10 +140,18 @@ def fixture_corpus_texts(count: int = 50) -> list[str]:
     ]
 
 
+def repeated_fixture_seed(size: int) -> str:
+    """The fixture corpus as one seed, repeated to at least ``size``
+    characters: a large seed for the memory guards."""
+    text = "\n".join(fixture_corpus_texts()) + "\n"
+    return text * -(-size // len(text))
+
+
 def feature_attribute_ranges(source: str) -> list[tuple[int, int]]:
     """The feature-gate attribute ranges ``cloze`` computes for ``source``."""
-    sig = significant_tokens(lex(source).tokens)
-    return _attribute_ranges(sig, find_spans(source, sig))
+    gates: list[tuple[int, int]] = []
+    spans = find_spans(source, _noting_gates(lex(source).tokens, gates))
+    return _gate_ranges(gates, spans)
 
 
 # --- reference spec: the original quadratic angle matcher --------------------

@@ -674,6 +674,34 @@ class TestFailureModes:
         assert saved["candidates_compiled"] == saved["seeds_sampled"] == 0
         assert saved["per_seed"] == {}
 
+    @pytest.mark.parametrize(
+        "rng_seed, rejected", [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0), (5, 1)]
+    )
+    def test_a_rejected_seeds_running_candidates_are_killed(
+        self, tmp_path, scripted, rng_seed, rejected
+    ):
+        # a draw of the slow seed hangs its check while both workers run
+        # its candidates, which hang too: once the check rejects the
+        # seed they are killed, not left to their own timeout
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "slow.rs").write_text(SEED_FEATURE + "// SLOWMARK\n", encoding="utf-8")
+        (d / "fast.rs").write_text(SEED_FEATURE, encoding="utf-8")
+        compiler = CompilerConfig(
+            binary_path=scripted("trigger", TRIGGER_BODY),
+            kind="scripted-fake",
+            timeout_secs=1.0,
+        )
+        cfg = make_config(
+            d, tmp_path, compiler, ["a()", "b()", "c()"],
+            budget=4, workers=2, seed=rng_seed,
+        )
+        began = time.monotonic()
+        report = run_campaign(cfg)
+        assert time.monotonic() - began < 1.5
+        assert report.preflight_rejected == rejected
+        assert report.candidates_compiled == 4
+
     def test_missing_compiler_fails_before_any_work(self, corpus_dir, tmp_path):
         compiler = CompilerConfig(binary_path="/no/such/rustc")
         cfg = make_config(corpus_dir, tmp_path, compiler, ["x()"], budget=5)

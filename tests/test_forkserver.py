@@ -45,8 +45,8 @@ def sh_cfg(hazard: str, timeout: float = 5.0) -> CompilerConfig:
     )
 
 
-def served(program: str, cfg: CompilerConfig):
-    return harness._compile(program, cfg, True)
+def served(program: str, cfg: CompilerConfig, cancel=None):
+    return harness._compile(program, cfg, True, cancel)
 
 
 def server_pids() -> set[int]:
@@ -169,6 +169,27 @@ def test_killing_compiles_reaches_a_served_compile_and_stops_its_server(tmp_path
 
 
 @needs_cc
+def test_a_cancelled_served_compile_is_killed_and_its_server_kept(tmp_path):
+    pidfile = tmp_path / "pid"
+    cfg = sh_cfg(f'sleep 30 & echo "$PPID $!" > "{pidfile}"; sleep 30', timeout=30.0)
+    cancel = threading.Event()
+    worker, outcomes = _in_thread(
+        lambda: (served(HAZARD, cfg, cancel), harness._local.scratch)
+    )
+    server, straggler = _wait_for(pidfile)
+    started = time.monotonic()
+    cancel.set()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    assert time.monotonic() - started < 1.0
+    ((outcome, _),) = outcomes
+    assert outcome.exit_status == -signal.SIGKILL and not outcome.timed_out
+    assert dead(straggler)
+    # only the compile is stopped, not the thread's server
+    assert server in server_pids() and not _reaped(server)
+
+
+@needs_cc
 def test_a_server_killed_mid_compile_is_replaced_by_a_spawn(tmp_path):
     pidfile = tmp_path / "pid"
     # served, the compile waits to be cut; spawned, it answers at once
@@ -228,8 +249,8 @@ def test_no_server_outlives_run_campaign(tmp_path, monkeypatch):
     (corpus / "main.rs").write_text("fn main() { let v = [1, 2]; f(v[0]); }\n")
     seen: set[int] = set()
 
-    def compile_served(program, cfg):
-        outcome = served(program, cfg)
+    def compile_served(program, cfg, cancel=None):
+        outcome = served(program, cfg, cancel)
         seen.update(server_pids())
         return outcome
 

@@ -758,6 +758,29 @@ if sys.argv[2] == "hold":
 """
 
 
+def test_the_sweep_removes_only_the_directories_of_gone_processes(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(harness, "_swept", threading.Lock())
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait(timeout=30)
+    gone = tmp_path / f"clozefuzz-{child.pid}-x"
+    (gone / "sub").mkdir(parents=True)
+    (gone / "sub" / "input.rs").write_text("fn main() {}\n")
+    own = tmp_path / f"clozefuzz-{os.getpid()}-y"
+    own.mkdir()
+    # named before scratch names held a pid
+    unnamed = tmp_path / "clozefuzz-abcdefgh"
+    unnamed.mkdir()
+    harness._sweep_stale_scratch()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([own.name, unnamed.name])
+    # once per process: a later call sweeps nothing
+    gone.mkdir()
+    harness._sweep_stale_scratch()
+    assert gone.is_dir()
+
+
 def test_the_first_compile_sweeps_what_killed_processes_left(scripted, tmp_path):
     tmp = tmp_path / "tmp"
     tmp.mkdir()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 
-from helpers import fixture_corpus_texts, gen_bracket_source
+import pytest
+from helpers import fixture_corpus_texts, gen_bracket_source, repeated_fixture_seed
 
-from clozefuzz.lexer import TokenKind, lex
+from clozefuzz.lexer import Token, TokenKind, lex
 
 
 def kinds_of(source: str) -> list[TokenKind]:
@@ -24,6 +27,37 @@ def test_concat_round_trip_on_random_sources():
         text = gen_bracket_source(rng)
         tokens = lex(text).tokens
         assert "".join(t.text for t in tokens) == text
+
+
+def test_tokens_read_alike_by_iteration_and_by_index():
+    for text in fixture_corpus_texts() + [""]:
+        tokens = lex(text).tokens
+        listed = list(tokens)
+        assert len(listed) == len(tokens)
+        assert "".join(t.text for t in listed) == text
+        assert [tokens[i] for i in range(len(tokens))] == listed
+        assert all(type(t) is Token for t in listed)
+        if listed:
+            assert tokens[-1] == listed[-1]
+            assert tokens[-len(tokens)] == listed[0]
+        for outside in (len(tokens), -len(tokens) - 1):
+            with pytest.raises(IndexError):
+                tokens[outside]
+
+
+def test_tokens_retain_at_most_16_bytes_each():
+    # ends and kinds are stored, not a tuple and a text per token
+    text = repeated_fixture_seed(200_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tokens = lex(text).tokens
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) > 100_000
+    assert retained / len(tokens) <= 16
 
 
 def test_spans_ascending_and_contiguous():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import gc
 import pytest
 import random
+import tracemalloc
 
 from helpers import (
     feature_attribute_ranges,
     fixture_corpus_texts,
     gen_angle_soup,
     reference_cloze,
+    repeated_fixture_seed,
 )
 
 from clozefuzz.brackets import BracketKind, find_spans
@@ -129,3 +132,18 @@ def test_variants_share_the_seed_text():
     assert len(variants) > 3000
     assert all(v.source is text for v in variants)
 
+
+def test_cloze_peaks_at_most_35_bytes_per_character():
+    # one streamed pass: no list of tokens, nor of significant tokens,
+    # lives beside the spans and the variants
+    text = repeated_fixture_seed(200_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        variants = cloze(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(variants) > 10_000
+    assert peak / len(text) <= 35
