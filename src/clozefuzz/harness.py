@@ -23,12 +23,14 @@ A compile given a ``cancel`` event is killed the same way at its first
 beat after the event is set, so one caller can drop its own compiles
 and leave the others running.
 
-A rustc target's compiles go through a fork server, one per compiling
-thread, which pays the compiler's start-up (loading and relocating
-``librustc_driver`` and LLVM) once instead of once per compile. The
-server is the target's own command, started in the thread's scratch
-directory with the shim ``forkserver.c`` preloaded (``LD_PRELOAD``,
-with ``LD_BIND_NOW``). Before rustc's ``main`` it takes requests on a
+Every target's compiles go through a fork server, one per compiling
+thread, which pays the compiler's start-up (for rustc, loading and
+relocating ``librustc_driver`` and LLVM) once instead of once per
+compile. The server is the target's own command, started in the
+thread's scratch directory with the shim ``forkserver.c`` preloaded
+(``LD_PRELOAD``, with ``LD_BIND_NOW``). A script is served through the
+interpreter the kernel execs for it, since the shim is preloaded into
+that. Before the compiler's ``main`` the shim takes requests on a
 socket, handed over as its stdin and moved to fd 198, and forks a
 ready copy per compile, which gets the compile's pipes, its own
 process group and the plain environment. Every compile, served or
@@ -46,15 +48,15 @@ SHA-256 of its source, in ``$XDG_CACHE_HOME/clozefuzz`` (by default
 closed to others. The first time a compiler build runs with a set of
 flags, a fixed erroring program is compiled both ways; the server is
 used only if status, stdout and stderr agree, and that verdict is kept
-beside the shim, keyed on the argv and the binary's size and mtime.
+beside the shim, keyed on the argv and the binary's size and mtime;
+a command keeps the verdict of its latest build only.
 Compiles are spawned instead, and a warning says why once per process
 and target, when ``cc`` is missing or the build fails, the cache
 directory is unusable, the server does not answer its handshake, or
-the self-check differs. They are spawned without a word for mrustc and
-scripted-fake targets and for a rustc target that is a script, whose
-interpreter is what the shim would preload. A server lost mid-compile
-is dropped and that compile run again by spawn, so a lost server
-changes no outcome.
+the self-check differs or is cut short by ``killing_compiles``. A
+server lost mid-compile is dropped and that compile run again by
+spawn, so a lost server changes no outcome. A compile whose binary has
+gone is spawned too, so that it fails as the compiler it cannot start.
 
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import fcntl
 import functools
+import glob
 import hashlib
 import logging
 import os
@@ -539,8 +542,14 @@ _verdict_lock = threading.Lock()
 def _server_for(workdir: str, cmd: list[str], cfg: CompilerConfig) -> _Server | None:
     """The fork server of this thread's scratch directory ``workdir`` for
     the target, started on first use, or None when its compiles are
-    spawned. A directory keeps one server; another target replaces it."""
+    spawned. A directory keeps one server; another target replaces it.
+
+    A target whose binary has gone is spawned, so that the spawn says
+    so: a server would go on compiling with the copy it holds, or, for
+    a script, fail every compile as a rejected program."""
     key = tuple(cmd)
+    if not os.path.exists(key[0]):
+        return None
     if key not in _verdicts:
         with _verdict_lock:
             if key not in _verdicts:
@@ -581,35 +590,42 @@ def _retire(workdir: str) -> None:
         server.stop()
 
 
-def _vet(cmd: tuple[str, ...], cfg: CompilerConfig) -> str | None:
-    """The shim that serves ``cmd``, or None when its binary is not an
-    ELF file: the shim would preload a script's interpreter instead.
+def _vet(cmd: tuple[str, ...], cfg: CompilerConfig) -> str:
+    """The shim that serves ``cmd``.
 
     The first time a compiler build runs with these flags, a compile
     through the server must print and exit as a spawned one does. Its
-    passing verdict is kept beside the shim. Raises ``_NoServer``.
+    passing verdict is kept beside the shim, named by the argv and by
+    the binary's size and mtime, and replaces the verdicts of the
+    command's earlier builds. Raises ``_NoServer``.
     """
     try:
-        with open(cmd[0], "rb") as binary:
-            if binary.read(4) != b"\x7fELF":
-                return None
         st = os.stat(cmd[0])
-    except OSError:
-        return None
+    except OSError as exc:
+        raise _NoServer(f"cannot stat the compiler: {exc}") from exc
     shim = _shim()
-    key = repr((cmd, st.st_size, st.st_mtime_ns)).encode()
-    verdict = f"{shim[:-3]}-{hashlib.sha256(key).hexdigest()[:16]}.ok"
+    stem = f"{shim[:-3]}-{_digest(cmd)}"
+    verdict = f"{stem}-{_digest((st.st_size, st.st_mtime_ns))}.ok"
     if not os.path.exists(verdict):
         _self_check(shim, cmd, cfg)
         with suppress(OSError):  # unrecorded, it is checked again next time
             open(verdict, "xb").close()
+        for stale in glob.glob(f"{glob.escape(stem)}-*.ok"):
+            if stale != verdict:
+                with suppress(OSError):
+                    os.unlink(stale)
     return shim
+
+
+def _digest(key: object) -> str:
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 def _self_check(shim: str, cmd: tuple[str, ...], cfg: CompilerConfig) -> None:
     """Compile ``_SELF_CHECK`` once by spawn and once through a fork
     server, in a directory of its own, and raise ``_NoServer`` unless
-    both give the same status, stdout, stderr and timeout."""
+    both give the same status, stdout, stderr and timeout, and no
+    ``killing_compiles`` block has cut them short."""
     timeout = cfg.timeout_secs
     try:
         with tempfile.TemporaryDirectory(prefix=f"clozefuzz-{os.getpid()}-") as work:
@@ -625,6 +641,9 @@ def _self_check(shim: str, cmd: tuple[str, ...], cfg: CompilerConfig) -> None:
                 server.stop()
     except OSError as exc:
         raise _NoServer(f"the fork server's self-check failed: {exc}") from exc
+    # killed alike, the two compiles show nothing
+    if _killing:
+        raise _NoServer("the fork server's self-check was cut short")
     if served[:4] != spawned[:4]:
         raise _NoServer("a compile through the fork server differs from a spawned one")
 
@@ -801,27 +820,17 @@ def compile_program(
     child processes do not linger, and what it printed is kept.
     However the call ends, Ctrl-C included, a compiler still running
     is killed with its group and reaped, and the directory emptied.
-    A rustc target's compiles go through this thread's fork server
-    when the target passes its check, and are spawned otherwise.
+    Compiles go through this thread's fork server once the target
+    passes its check, and are spawned otherwise; a compile whose
+    server is lost is compiled again by spawn, and the thread's next
+    compile starts a fresh server.
     Once ``cancel`` is set, the compile is killed within a beat, or as
     it starts, and the call returns the outcome of a killed process.
     """
-    return _compile(program, cfg, cfg.kind == "rustc", cancel)
-
-
-def _compile(
-    program: str,
-    cfg: CompilerConfig,
-    serve: bool,
-    cancel: threading.Event | None = None,
-) -> CompileOutcome:
-    """``compile_program``, through a fork server only when ``serve`` is
-    set. A compile whose server is lost is compiled again by spawn, and
-    the thread's next compile starts a fresh server."""
     cmd = cfg.command("input.rs")
     workdir = _write_input(program)
     try:
-        server = _server_for(workdir, cmd, cfg) if serve else None
+        server = _server_for(workdir, cmd, cfg)
         ran = None
         if server is not None:
             with suppress(OSError):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -167,9 +167,6 @@ _COMMENT_DELIMITER = re.compile(r"/\*|\*/")
 _CODE = {kind.name: code for code, kind in enumerate(_KINDS)}
 _CODE["BLOCK_COMMENT"] = _CODE["COMMENT"]
 _KEYWORD_CODE, _IDENTIFIER_CODE = _CODE["KEYWORD"], _CODE["IDENTIFIER"]
-# looking a member up on an Enum class per token costs more than the
-# test it feeds, so the per-token filters below compare these
-_WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
 
 
 def lex(source: str) -> LexResult:
@@ -195,10 +192,4 @@ def lex(source: str) -> LexResult:
         ends.append(end)
         pos = end
     return LexResult(tokens=Tokens(source, ends, kinds))
-
-
-def significant_tokens(tokens: Iterable[Token]) -> list[Token]:
-    """Tokens that matter for structure: everything except whitespace
-    and comments."""
-    return [t for t in tokens if t.kind is not _WHITESPACE and t.kind is not _COMMENT]
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
-from typing import Iterator
 
-from .lexer import Token, TokenKind, lex, significant_tokens
+from .lexer import Token, TokenKind, lex
 
 ENUMERATION_THRESHOLD = 64
 SAMPLE_SIZE = 32
@@ -40,52 +41,61 @@ class Skeleton:
         return "".join(parts)
 
 
-def _is_open_paren(tok: Token) -> bool:
-    return tok.kind is TokenKind.OPEN_BRACKET and tok.text == "("
+# compared per token: a member looked up on its Enum class each time
+# costs more than the comparison
+_IDENTIFIER, _KEYWORD = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+_WHITESPACE, _COMMENT = TokenKind.WHITESPACE, TokenKind.COMMENT
+# stands for the token before the first and the one after the last,
+# which match nothing
+_NOTHING = Token(_WHITESPACE, 0, 0, "")
 
 
-def _binding_names(sig: list[Token]) -> set[str]:
-    """Names bound by ``let`` or ``let mut``, and fn parameter names.
+def _significant(tokens: Iterable[Token]) -> Iterator[Token]:
+    return (t for t in tokens if t.kind is not _WHITESPACE and t.kind is not _COMMENT)
+
+
+def _binding_names(tokens: Iterable[Token]) -> set[str]:
+    """Names bound by ``let`` or ``let mut``, and fn parameter names,
+    read from ``tokens`` in one pass.
 
     A fn's parameter list is the first '(' after its keyword, unless a
     '{' or ';' comes first. A parameter is an identifier directly
-    followed by ':' whose innermost open '(' is such a list. Linear:
-    one backward pass finds each token's next stop, and one forward
-    pass keeps a stack of the open parentheses.
+    followed by ':' whose innermost open '(' is such a list. A stack
+    says, per open '(', whether it is one.
     """
-    # next_stop[i]: the first '(', '{' or ';' at or after sig[i]
-    next_stop = [len(sig)] * (len(sig) + 1)
-    for i in reversed(range(len(sig))):
-        stop = _is_open_paren(sig[i]) or sig[i].text in ("{", ";")
-        next_stop[i] = i if stop else next_stop[i + 1]
     names: set[str] = set()
-    param_lists: set[int] = set()
-    parens: list[int] = []
-    for i, tok in enumerate(sig):
-        if tok.kind is TokenKind.KEYWORD and tok.text == "let":
-            j = i + 1
-            if j < len(sig) and sig[j].kind is TokenKind.KEYWORD and sig[j].text == "mut":
-                j += 1
-            if j < len(sig) and sig[j].kind is TokenKind.IDENTIFIER:
-                names.add(sig[j].text)
-        elif tok.kind is TokenKind.KEYWORD and tok.text == "fn":
-            stop = next_stop[i + 1]
-            if stop < len(sig) and _is_open_paren(sig[stop]):
-                param_lists.add(stop)
-        elif _is_open_paren(tok):
-            parens.append(i)
-        elif tok.kind is TokenKind.CLOSE_BRACKET and tok.text == ")":
-            if parens:
-                parens.pop()
+    # 1 just after ``let``, 2 just after ``let mut``
+    binding = 0
+    # a fn keyword was seen, and no '(', '{' or ';' since
+    fn_pending = False
+    param_lists: list[bool] = []
+    prev = _NOTHING
+    for tok in _significant(tokens):
+        kind, text = tok.kind, tok.text
+        if binding and kind is _IDENTIFIER:
+            names.add(text)
+        binding = 2 if binding == 1 and text == "mut" and kind is _KEYWORD else 0
+        if kind is _KEYWORD:
+            if text == "let":
+                binding = 1
+            elif text == "fn":
+                fn_pending = True
+        elif text == "(":
+            param_lists.append(fn_pending)
+            fn_pending = False
+        elif text == "{" or text == ";":
+            fn_pending = False
+        elif text == ")":
+            if param_lists:
+                param_lists.pop()
         elif (
-            parens
-            and parens[-1] in param_lists
-            and tok.kind is TokenKind.IDENTIFIER
-            and i + 1 < len(sig)
-            and sig[i + 1].kind is TokenKind.PUNCT
-            and sig[i + 1].text == ":"
+            text == ":"
+            and prev.kind is _IDENTIFIER
+            and param_lists
+            and param_lists[-1]
         ):
-            names.add(tok.text)
+            names.add(prev.text)
+        prev = tok
     return names
 
 
@@ -99,32 +109,29 @@ def extract_variables(source: str) -> Skeleton:
     An occurrence is any identifier token matching a bound name,
     except path members (preceded by '.' or '::'), path roots
     (followed by '::'), macro names (followed by '!'), and fn names.
+    The tokens are lexed once and read in two streamed passes, one for
+    the names and one for the occurrences, each holding a token or two
+    at a time.
     """
     tokens = lex(source).tokens
-    sig = significant_tokens(tokens)
-    names = _binding_names(sig)
-
-    holes: list[Token] = []
-    for k, tok in enumerate(sig):
-        if tok.kind is not TokenKind.IDENTIFIER or tok.text not in names:
-            continue
-        prev = sig[k - 1] if k > 0 else None
-        nxt = sig[k + 1] if k + 1 < len(sig) else None
-        if prev is not None and prev.text in _SKIP_BEFORE:
-            continue
-        if prev is not None and prev.kind is TokenKind.KEYWORD and prev.text == "fn":
-            continue
-        if nxt is not None and nxt.text in _SKIP_AFTER:
-            continue
-        holes.append(tok)
-
+    names = _binding_names(tokens)
     segments: list[str] = []
     occurrences: list[str] = []
     cursor = 0
-    for tok in holes:
-        segments.append(source[cursor : tok.start])
-        occurrences.append(tok.text)
-        cursor = tok.end
+    # each token is judged once the one after it is read
+    prev = cur = _NOTHING
+    for nxt in chain(_significant(tokens), (_NOTHING,)):
+        if (
+            cur.kind is _IDENTIFIER
+            and cur.text in names
+            and prev.text not in _SKIP_BEFORE
+            and not (prev.kind is _KEYWORD and prev.text == "fn")
+            and nxt.text not in _SKIP_AFTER
+        ):
+            segments.append(source[cursor : cur.start])
+            occurrences.append(cur.text)
+            cursor = cur.end
+        prev, cur = cur, nxt
     segments.append(source[cursor:])
     return Skeleton(segments=segments, occurrences=occurrences)
 

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import copy
+import importlib.util
 import shlex
+import sys
 import textwrap
 import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
+
+from clozefuzz import harness
+from clozefuzz.harness import CompilerConfig
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,6 +22,39 @@ def private_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Spawn every compile, as where no fork server can be had: for
+    tests that pin the spawn path on a machine with ``cc``."""
+    monkeypatch.setattr(harness, "_server_for", lambda workdir, cmd, cfg: None)
+
+
+def vetted(cfg: CompilerConfig, timeout: float | None = None) -> CompilerConfig:
+    """Run the target's fork-server self-check now, and return ``cfg``,
+    so that what a test counts from here on holds none of the check's
+    two compiles. The check's compiles are timed out after ``timeout``
+    seconds when it is given, for a compiler that hangs on every
+    program. Without ``cc`` there is nothing to check."""
+    argv = tuple(cfg.command("input.rs"))
+    check = copy.copy(cfg)
+    check.timeout_secs = timeout or cfg.timeout_secs
+    with suppress(harness._NoServer):
+        harness._vet(argv, check)
+    return cfg
+
+
+def bench_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, which writes its
+    inputs and its fake compilers, imported from this tree."""
+    path = Path(harness.__file__).resolve().parents[2] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def dead(pid: int, within: float = 2.0) -> bool:

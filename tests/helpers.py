@@ -4,12 +4,15 @@ Holds an independent character-level bracket matcher used as an oracle
 against the token-based implementation, a random source generator for
 property tests, and a deterministic fixture corpus builder. It also
 keeps the original quadratic angle matcher and three-lex ``cloze`` as a
-reference spec, with a token-soup generator to compare against it.
+reference spec, with a token-soup generator to compare against it, and
+the list-based ``spe.extract_variables`` as a reference for the
+streamed one.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 
 from clozefuzz.brackets import (
     BracketKind,
@@ -17,8 +20,20 @@ from clozefuzz.brackets import (
     _match_pairs,
     find_spans,
 )
-from clozefuzz.lexer import Token, TokenKind, lex, significant_tokens
+from clozefuzz.lexer import Token, TokenKind, lex
 from clozefuzz.masking import _gate_ranges, _noting_gates
+from clozefuzz.spe import Skeleton
+
+
+def significant_tokens(tokens: Iterable[Token]) -> list[Token]:
+    """Tokens that matter for structure: everything except whitespace
+    and comments."""
+    return [
+        t
+        for t in tokens
+        if t.kind is not TokenKind.WHITESPACE and t.kind is not TokenKind.COMMENT
+    ]
+
 
 # --- independent bracket oracle ---------------------------------------------
 #
@@ -348,3 +363,81 @@ def gen_angle_soup(rng: random.Random, features: bool = False, pieces: int = 32)
         if rng.random() < 0.3:
             out.append(" ")
     return "".join(out)
+
+
+# --- reference spec: the list-based variable extraction ----------------------
+#
+# ``spe.extract_variables`` as first written: it lists the significant
+# tokens, finds each token's next '(', '{' or ';' with a backward pass,
+# and reads each candidate's neighbours by index. The streamed version
+# must cut every seed into the same skeleton.
+
+
+def _is_open_paren(tok: Token) -> bool:
+    return tok.kind is TokenKind.OPEN_BRACKET and tok.text == "("
+
+
+def _reference_binding_names(sig: list[Token]) -> set[str]:
+    # next_stop[i]: the first '(', '{' or ';' at or after sig[i]
+    next_stop = [len(sig)] * (len(sig) + 1)
+    for i in reversed(range(len(sig))):
+        stop = _is_open_paren(sig[i]) or sig[i].text in ("{", ";")
+        next_stop[i] = i if stop else next_stop[i + 1]
+    names: set[str] = set()
+    param_lists: set[int] = set()
+    parens: list[int] = []
+    for i, tok in enumerate(sig):
+        if tok.kind is TokenKind.KEYWORD and tok.text == "let":
+            j = i + 1
+            if j < len(sig) and sig[j].kind is TokenKind.KEYWORD and sig[j].text == "mut":
+                j += 1
+            if j < len(sig) and sig[j].kind is TokenKind.IDENTIFIER:
+                names.add(sig[j].text)
+        elif tok.kind is TokenKind.KEYWORD and tok.text == "fn":
+            stop = next_stop[i + 1]
+            if stop < len(sig) and _is_open_paren(sig[stop]):
+                param_lists.add(stop)
+        elif _is_open_paren(tok):
+            parens.append(i)
+        elif tok.kind is TokenKind.CLOSE_BRACKET and tok.text == ")":
+            if parens:
+                parens.pop()
+        elif (
+            parens
+            and parens[-1] in param_lists
+            and tok.kind is TokenKind.IDENTIFIER
+            and i + 1 < len(sig)
+            and sig[i + 1].kind is TokenKind.PUNCT
+            and sig[i + 1].text == ":"
+        ):
+            names.add(tok.text)
+    return names
+
+
+def reference_extract_variables(source: str) -> Skeleton:
+    sig = significant_tokens(lex(source).tokens)
+    names = _reference_binding_names(sig)
+
+    holes: list[Token] = []
+    for k, tok in enumerate(sig):
+        if tok.kind is not TokenKind.IDENTIFIER or tok.text not in names:
+            continue
+        prev = sig[k - 1] if k > 0 else None
+        nxt = sig[k + 1] if k + 1 < len(sig) else None
+        if prev is not None and prev.text in (".", "::"):
+            continue
+        if prev is not None and prev.kind is TokenKind.KEYWORD and prev.text == "fn":
+            continue
+        if nxt is not None and nxt.text in ("!", "::"):
+            continue
+        holes.append(tok)
+
+    segments: list[str] = []
+    occurrences: list[str] = []
+    cursor = 0
+    for tok in holes:
+        segments.append(source[cursor : tok.start])
+        occurrences.append(tok.text)
+        cursor = tok.end
+    segments.append(source[cursor:])
+    return Skeleton(segments=segments, occurrences=occurrences)

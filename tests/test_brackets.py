@@ -11,6 +11,7 @@ from helpers import (
     preorder,
     reference_find_spans,
     reference_match_angles,
+    significant_tokens,
 )
 
 from clozefuzz.brackets import (
@@ -19,7 +20,7 @@ from clozefuzz.brackets import (
     find_bracket_pairs,
     find_spans,
 )
-from clozefuzz.lexer import lex, significant_tokens
+from clozefuzz.lexer import lex
 
 
 def non_angle_pairs(source: str) -> set[tuple[str, int, int]]:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import shlex
@@ -13,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import TIMEPASS_HANG_BODY, TRIGGER_BODY
+from conftest import TIMEPASS_HANG_BODY, TRIGGER_BODY, bench_workloads, vetted
 
 import clozefuzz
 from clozefuzz import campaign
@@ -245,6 +244,8 @@ class TestBundles:
         log = tmp_path / "argv.log"
         body = f'echo "$*" >> {shlex.quote(str(log))}\n' + TRIGGER_BODY
         compiler = CompilerConfig(binary_path=scripted("rustc", body), timeout_secs=5.0)
+        vetted(compiler)
+        log.unlink(missing_ok=True)
         report, out = self.run_ice_campaign(corpus_dir, tmp_path, compiler)
         expected = ["-C", "opt-level=0", "--emit=obj"]
         # one check per seed drawn, then the two candidates
@@ -264,6 +265,9 @@ class TestRustupProxy:
     def test_one_probe_per_campaign(self, corpus_dir, tmp_path, rustup_layout):
         proxy, log, toolchain_rustc = rustup_layout(TRIGGER_BODY)
         compiler = CompilerConfig(binary_path=proxy, timeout_secs=5.0)
+        # keep the probe's line, not the fork server's self-check's
+        vetted(compiler)
+        log.write_text(log.read_text().splitlines()[0] + "\n")
         cfg = make_config(
             corpus_dir, tmp_path, compiler, ["ok()", "0xBUG boom()"],
             budget=6, workers=2,
@@ -379,10 +383,12 @@ class TestBudgets:
             )
         log = tmp_path / "argv.log"
         body = f'echo "$*" >> {shlex.quote(str(log))}\n' + TRIGGER_BODY
-        compiler = CompilerConfig(
-            binary_path=scripted("logging", body),
-            kind="scripted-fake",
-            timeout_secs=5.0,
+        compiler = vetted(
+            CompilerConfig(
+                binary_path=scripted("logging", body),
+                kind="scripted-fake",
+                timeout_secs=5.0,
+            )
         )
         # one check and one candidate; with the check skipped, the candidate
         for skip, compiles in ((False, 2), (True, 1)):
@@ -428,6 +434,7 @@ class TestBudgets:
             binary_path=scripted("slow", "sleep 1\nexit 0\n"),
             kind="scripted-fake", timeout_secs=5.0,
         )
+        vetted(compiler, timeout=0.2)
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "many.rs").write_text(
@@ -516,6 +523,8 @@ class TestHangPath:
             kind="scripted-fake",
             timeout_secs=1.0,
         )
+        vetted(compiler, timeout=0.2)
+        log.unlink(missing_ok=True)
         cfg = make_config(
             corpus_dir, tmp_path, compiler, ["anything()"], budget=1,
             skip_preflight=True,
@@ -601,7 +610,7 @@ class TestFailureModes:
         assert report.infill_errors >= 1
 
     def test_compiler_vanishing_mid_run_stops_gracefully(
-        self, corpus_dir, tmp_path, scripted
+        self, corpus_dir, tmp_path, scripted, spawned
     ):
         binary = scripted("self_destruct", 'rm -f "$0"\nexit 0\n')
         compiler = CompilerConfig(binary_path=binary, kind="scripted-fake")
@@ -963,6 +972,9 @@ class TestDeterminismAcrossWorkers:
             binary_path=scripted("sleepy", f': > "{pids}/$$"\nexec sleep 20\n'),
             kind="scripted-fake", timeout_secs=30.0,
         )
+        vetted(compiler, timeout=0.2)
+        for pidfile in pids.iterdir():
+            pidfile.unlink()
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "feature.rs").write_text(SEED_FEATURE, encoding="utf-8")
@@ -1039,6 +1051,9 @@ class TestStops:
             binary_path=scripted("sleepy", body), kind="scripted-fake",
             timeout_secs=30.0,
         )
+        vetted(compiler, timeout=0.2)
+        for pidfile in pids.iterdir():
+            pidfile.unlink()
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "feature.rs").write_text(SEED_FEATURE, encoding="utf-8")
@@ -1207,12 +1222,7 @@ class TestHookPoints:
         them all."""
         root = Path(clozefuzz.__file__).resolve().parents[2]
         bench = root / "perfbench"
-        spec_of = importlib.util.spec_from_file_location(
-            "workloads", bench / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec_of)
-        monkeypatch.setitem(sys.modules, "workloads", workloads)
-        spec_of.loader.exec_module(workloads)
+        workloads = bench_workloads(monkeypatch)
         base = workloads.build("fake-mixed", 1).materialise(tmp_path / "bench")
         for trace in (0, 1):
             spec = dict(

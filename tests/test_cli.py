@@ -8,13 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY
+from conftest import ICE_BODY, TIMEPASS_HANG_BODY, TRIGGER_BODY, vetted
 
 import clozefuzz
 from clozefuzz import campaign, cli
 from clozefuzz.cli import main
 from clozefuzz.augment import AugmentConfig, export_finetune_corpus
 from clozefuzz.corpus import Corpus, CorpusError, load_corpus
+from clozefuzz.harness import CompilerConfig
 from clozefuzz.oracle import BugStore, BugStoreError
 
 SEED_MAIN = "fn main() { helper(1); }\n"
@@ -599,7 +600,7 @@ class TestSpeCommand:
         assert case.read_text(encoding="utf-8") == compiled[0]
 
     def test_compiler_lost_mid_run_keeps_the_report(
-        self, spe_corpus, tmp_path, scripted, capsys
+        self, spe_corpus, tmp_path, scripted, spawned, capsys
     ):
         out = tmp_path / "out"
         rc = main(
@@ -679,6 +680,9 @@ class TestSpeCommand:
         tmp.mkdir()
         log = tmp_path / "cwd.log"
         compiler = scripted("where", f'pwd >> "{log}"\nexit 0\n')
+        # the run finds the fork server's verdict, and checks nothing
+        vetted(CompilerConfig(binary_path=compiler, kind="scripted-fake"))
+        log.unlink(missing_ok=True)
         out = tmp_path / "out"
         proc = run_module(
             spe_args(

@@ -1,4 +1,4 @@
-"""The fork server behind a rustc target's compiles.
+"""The fork server behind every target's compiles.
 
 Most tests stand ``/bin/sh -c SCRIPT`` in for the compiler: a dynamic
 binary that the shim serves as it serves rustc. A script acts only on
@@ -19,12 +19,18 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import dead
+from conftest import bench_workloads, dead
 
 from clozefuzz import campaign, harness
 from clozefuzz.campaign import CampaignConfig, run_campaign
-from clozefuzz.harness import CompilerConfig, compile_program, killing_compiles
+from clozefuzz.harness import (
+    CompilerConfig,
+    HarnessError,
+    compile_program,
+    killing_compiles,
+)
 from clozefuzz.infill import InfillConfig, MockBackend
+from clozefuzz.oracle import BugKind, classify
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler to build the fork server"
@@ -43,10 +49,6 @@ def sh_cfg(hazard: str, timeout: float = 5.0) -> CompilerConfig:
         extra_flags=("-c", script, "sh"),
         timeout_secs=timeout,
     )
-
-
-def served(program: str, cfg: CompilerConfig, cancel=None):
-    return harness._compile(program, cfg, True, cancel)
 
 
 def server_pids() -> set[int]:
@@ -91,15 +93,16 @@ def _in_thread(fn):
 
 
 @needs_cc
-def test_a_compile_goes_through_the_threads_server_and_keeps_it():
+def test_a_compile_goes_through_the_threads_server_and_keeps_it(monkeypatch):
     cfg = sh_cfg("echo out; echo err >&2; exit 3")
-    first = served(HAZARD, cfg)
+    first = compile_program(HAZARD, cfg)
     (server,) = server_pids()
     assert first.stdout == f"{server}\nout\n"
     assert (first.stderr, first.exit_status, first.timed_out) == ("err\n", 3, False)
-    assert served(HAZARD, cfg).stdout == f"{server}\nout\n"
+    assert compile_program(HAZARD, cfg).stdout == f"{server}\nout\n"
     # a plain spawn's parent is this process
-    assert harness._compile(HAZARD, cfg, False).stdout == f"{os.getpid()}\nout\n"
+    monkeypatch.setattr(harness, "_server_for", lambda workdir, cmd, cfg: None)
+    assert compile_program(HAZARD, cfg).stdout == f"{os.getpid()}\nout\n"
 
 
 @needs_cc
@@ -107,7 +110,7 @@ def test_a_served_compile_that_times_out_has_its_group_killed(tmp_path):
     pidfile = tmp_path / "pid"
     cfg = sh_cfg(f'sleep 30 & echo $! > "{pidfile}"; sleep 30', timeout=0.5)
     started = time.monotonic()
-    outcome = served(HAZARD, cfg)
+    outcome = compile_program(HAZARD, cfg)
     assert time.monotonic() - started < 3.0
     assert outcome.timed_out and outcome.exit_status == -signal.SIGKILL
     assert outcome.stdout.strip() == str(*server_pids())
@@ -126,9 +129,9 @@ def test_an_escapee_writing_forever_does_not_hold_a_served_compile(
         f"setsid sh -c 'echo $$ > \"{pidfile}\"; exec yes escaped' >&2 & "
         f'until [ -s "{pidfile}" ]; do sleep 0.01; done; exit 0'
     )
-    served("fn main() {}\n", cfg)  # vets the target and starts the server
+    compile_program("fn main() {}\n", cfg)  # vets the target and starts the server
     started = time.monotonic()
-    worker, outcomes = _in_thread(lambda: served(HAZARD, cfg))
+    worker, outcomes = _in_thread(lambda: compile_program(HAZARD, cfg))
     try:
         worker.join(timeout=3.0)
         elapsed = time.monotonic() - started
@@ -152,7 +155,7 @@ def test_killing_compiles_reaches_a_served_compile_and_stops_its_server(tmp_path
     # the worker hands out its scratch directory, so that its end does
     # not remove the directory and, with it, the server
     worker, outcomes = _in_thread(
-        lambda: (served(HAZARD, cfg), harness._local.scratch)
+        lambda: (compile_program(HAZARD, cfg), harness._local.scratch)
     )
     server, compile_pid = _wait_for(pidfile)
     started = time.monotonic()
@@ -174,7 +177,7 @@ def test_a_cancelled_served_compile_is_killed_and_its_server_kept(tmp_path):
     cfg = sh_cfg(f'sleep 30 & echo "$PPID $!" > "{pidfile}"; sleep 30', timeout=30.0)
     cancel = threading.Event()
     worker, outcomes = _in_thread(
-        lambda: (served(HAZARD, cfg, cancel), harness._local.scratch)
+        lambda: (compile_program(HAZARD, cfg, cancel), harness._local.scratch)
     )
     server, straggler = _wait_for(pidfile)
     started = time.monotonic()
@@ -198,7 +201,7 @@ def test_a_server_killed_mid_compile_is_replaced_by_a_spawn(tmp_path):
         f'{{ echo "$PPID" > "{pidfile}"; sleep 30; }}; echo spawned',
         timeout=30.0,
     )
-    worker, outcomes = _in_thread(lambda: served(HAZARD, cfg))
+    worker, outcomes = _in_thread(lambda: compile_program(HAZARD, cfg))
     (server,) = _wait_for(pidfile)
     started = time.monotonic()
     os.kill(server, signal.SIGKILL)
@@ -211,6 +214,17 @@ def test_a_server_killed_mid_compile_is_replaced_by_a_spawn(tmp_path):
     assert _reaped(server)
 
 
+@needs_cc
+def test_a_served_compiler_that_is_deleted_is_lost(scripted):
+    path = scripted("doomed", "exit 0\n")
+    cfg = CompilerConfig(binary_path=path, kind="scripted-fake")
+    assert compile_program(HAZARD, cfg).exit_status == 0
+    assert server_pids()
+    os.unlink(path)
+    with pytest.raises(HarnessError, match="failed to spawn"):
+        compile_program(HAZARD, cfg)
+
+
 PARENT = """
 import sys
 from clozefuzz import harness
@@ -219,7 +233,7 @@ cfg = CompilerConfig(
     binary_path="/bin/sh", kind="scripted-fake", timeout_secs=60.0,
     extra_flags=("-c", sys.argv[1], "sh"),
 )
-harness._compile("// HAZARD\\n", cfg, True)
+harness.compile_program("// HAZARD\\n", cfg)
 """
 
 
@@ -250,7 +264,7 @@ def test_no_server_outlives_run_campaign(tmp_path, monkeypatch):
     seen: set[int] = set()
 
     def compile_served(program, cfg, cancel=None):
-        outcome = served(program, cfg, cancel)
+        outcome = compile_program(program, cfg, cancel)
         seen.update(server_pids())
         return outcome
 
@@ -284,7 +298,7 @@ def test_without_cc_compiles_are_spawned_and_that_is_said_once(
         extra_flags=("-c", "echo $PPID", "sh"),
     )
     with caplog.at_level(logging.WARNING, logger="clozefuzz.harness"):
-        outcomes = [served(HAZARD, cfg) for _ in range(3)]
+        outcomes = [compile_program(HAZARD, cfg) for _ in range(3)]
     assert [o.stdout for o in outcomes] == [f"{os.getpid()}\n"] * 3
     assert not server_pids()
     (record,) = caplog.records
@@ -311,7 +325,7 @@ def spawned_with_one_warning(caplog) -> str:
         extra_flags=("-c", "echo $PPID", "sh"),
     )
     with caplog.at_level(logging.WARNING, logger="clozefuzz.harness"):
-        outcomes = [served(HAZARD, cfg) for _ in range(3)]
+        outcomes = [compile_program(HAZARD, cfg) for _ in range(3)]
     assert [o.stdout for o in outcomes] == [f"{os.getpid()}\n"] * 3
     assert not server_pids()
     (record,) = caplog.records
@@ -328,6 +342,27 @@ def test_a_self_check_that_differs_leaves_every_compile_spawned(fresh_cache, cap
     # the shim was built, but no passing verdict was kept beside it
     assert list(fresh_cache.glob("*.so"))
     assert not list(fresh_cache.glob("*.ok"))
+
+
+@needs_cc
+def test_a_self_check_cut_short_keeps_no_verdict(fresh_cache, scripted, tmp_path, caplog):
+    pidfile = tmp_path / "pid"
+    body = f'echo $$ > "{pidfile}"\nexec sleep 30\n'
+    cfg = CompilerConfig(
+        binary_path=scripted("sleeps", body), kind="scripted-fake", timeout_secs=30.0
+    )
+    worker, outcomes = _in_thread(lambda: compile_program(HAZARD, cfg))
+    _wait_for(pidfile)  # the self-check's spawned compile is running
+    with caplog.at_level(logging.WARNING, logger="clozefuzz.harness"):
+        with killing_compiles():
+            worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    (outcome,) = outcomes
+    assert outcome.exit_status == -signal.SIGKILL and not outcome.timed_out
+    # both compiles were killed, which proves nothing about the server
+    assert not list(fresh_cache.glob("*.ok"))
+    (record,) = caplog.records
+    assert "self-check was cut short" in record.getMessage()
 
 
 def test_a_failing_cc_leaves_no_shim_behind(fresh_cache, tmp_path, monkeypatch, caplog):
@@ -364,7 +399,7 @@ def test_a_server_that_never_answers_is_stopped_and_spawning_takes_over(
     cfg = sh_cfg("sleep 30", timeout=0.5)
     started = time.monotonic()
     with caplog.at_level(logging.WARNING, logger="clozefuzz.harness"):
-        outcomes = [served(HAZARD, cfg) for _ in range(2)]
+        outcomes = [compile_program(HAZARD, cfg) for _ in range(2)]
     assert time.monotonic() - started < 5.0
     assert all(o.timed_out and o.stdout == f"{os.getpid()}\n" for o in outcomes)
     assert not server_pids()
@@ -372,14 +407,75 @@ def test_a_server_that_never_answers_is_stopped_and_spawning_takes_over(
     assert "did not start" in record.getMessage()
 
 
-def test_a_fake_target_never_looks_for_a_server(scripted, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a scripted-fake target reached the fork server")
+@needs_cc
+def test_a_script_target_is_served_through_its_interpreter(scripted):
+    script = scripted("parent", 'case "$(cat "$2")" in *HAZARD*) echo $PPID;; esac\n')
+    outcome = compile_program(HAZARD, CompilerConfig(binary_path=script, kind="scripted-fake"))
+    (server,) = server_pids()
+    assert outcome.stdout == f"{server}\n"
+    assert server != os.getpid()
 
-    monkeypatch.setattr(harness, "_server_for", refuse)
-    monkeypatch.setattr(harness, "_shim", refuse)
-    cfg = CompilerConfig(binary_path=scripted("ok", "exit 0\n"), kind="scripted-fake")
-    assert compile_program("fn main() {}", cfg).exit_status == 0
+
+@needs_cc
+def test_the_benchmark_fake_compiler_ends_alike_served_and_spawned(
+    tmp_path, monkeypatch
+):
+    workloads = bench_workloads(monkeypatch)
+    script = tmp_path / "fake-rustc"
+    script.write_text(workloads.fake_mixed_compiler())
+    script.chmod(0o755)
+    cfg = CompilerConfig(binary_path=str(script), kind="scripted-fake", timeout_secs=5.0)
+    programs = [
+        f"fn main() {{ {marker}(); }}\n"
+        for marker in [
+            *(p.marker for p in workloads.PLANTS if p.kind == "ice"),
+            workloads.REJECT_MARKER,
+            "passes",
+        ]
+    ]
+
+    def ends(outcomes) -> list:
+        return [(o.exit_status, o.stdout, o.stderr, o.timed_out) for o in outcomes]
+
+    with monkeypatch.context() as spawning:
+        spawning.setattr(harness, "_server_for", lambda workdir, cmd, cfg: None)
+        spawned = [compile_program(text, cfg) for text in programs]
+    # vets the target, then proves every compile after it is served
+    compile_program(programs[-1], cfg)
+    assert server_pids()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled by spawn")
+
+    monkeypatch.setattr(harness.subprocess, "Popen", refuse)
+    assert ends(compile_program(text, cfg) for text in programs) == ends(spawned)
+    kinds = [classify(o, "scripted-fake") for o in spawned]
+    assert kinds == [BugKind.ICE] * 5 + [BugKind.REJECT, BugKind.PASS]
+
+
+@needs_cc
+def test_a_rebuilt_compiler_keeps_one_verdict(fresh_cache, scripted, monkeypatch):
+    path = Path(scripted("rebuilt", "exit 0\n"))
+    cfg = CompilerConfig(binary_path=str(path), kind="scripted-fake")
+    other = CompilerConfig(binary_path=scripted("other", "exit 0\n"), kind="scripted-fake")
+    compile_program(HAZARD, cfg)
+    compile_program(HAZARD, other)
+    first = set(fresh_cache.glob("*.ok"))
+    assert len(first) == 2
+    # rebuilt, and compiled again by a process with no verdict in memory
+    path.write_text("#!/bin/sh\nexit 0 # rebuilt\n")
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+    monkeypatch.setattr(harness, "_verdicts", {})
+    assert compile_program(HAZARD, cfg).exit_status == 0
+    now = set(fresh_cache.glob("*.ok"))
+    assert len(now) == 2
+    (kept,) = first & now
+    (new,) = now - first
+    # the other command's verdict is kept; the new one shares the old one's argv part
+    (gone,) = first - now
+    assert new.name.rsplit("-", 1)[0] == gone.name.rsplit("-", 1)[0]
+    assert kept.name.rsplit("-", 1)[0] != gone.name.rsplit("-", 1)[0]
 
 
 # one program per way a compile can end. The last loops forever in
@@ -405,10 +501,10 @@ LIVE_PROGRAMS = {
 def test_live_rustc_compiles_the_same_served_and_spawned(monkeypatch):
     cfg = CompilerConfig(binary_path="rustc", timeout_secs=2.0)
 
-    def outcomes(serve: bool) -> dict:
+    def outcomes() -> dict:
         seen = {}
         for name, text in LIVE_PROGRAMS.items():
-            o = harness._compile(text, cfg, serve)
+            o = compile_program(text, cfg)
             stderr = o.stderr
             if name == "hang":
                 # how many times rustc repeats its warning before the
@@ -417,16 +513,18 @@ def test_live_rustc_compiles_the_same_served_and_spawned(monkeypatch):
             seen[name] = (o.exit_status, o.stdout, stderr, o.timed_out)
         return seen
 
-    spawned = outcomes(False)
+    with monkeypatch.context() as spawning:
+        spawning.setattr(harness, "_server_for", lambda workdir, cmd, cfg: None)
+        spawned = outcomes()
     # vets the target, then proves every compile after it is served
-    served(LIVE_PROGRAMS["type error"], cfg)
+    compile_program(LIVE_PROGRAMS["type error"], cfg)
     assert server_pids()
 
     def refuse(*args, **kwargs):
         raise AssertionError("compiled by spawn")
 
     monkeypatch.setattr(harness.subprocess, "Popen", refuse)
-    assert outcomes(True) == spawned
+    assert outcomes() == spawned
     assert spawned["hang"][:2] == (-signal.SIGKILL, "") and spawned["hang"][3]
     assert any("taking a long time" in block for block in spawned["hang"][2])
     status, _, stderr, _ = spawned["pass with warnings"]

@@ -23,6 +23,7 @@ from conftest import (
     TIMEPASS_HANG_BODY,
     TRIGGER_BODY,
     dead,
+    vetted,
 )
 
 from clozefuzz import harness
@@ -151,7 +152,7 @@ def _pid_from(pidfile, within: float = 5.0) -> int:
     ],
 )
 def test_a_compile_ends_when_its_compiler_does(
-    scripted, tmp_path, case, took, timed_out
+    scripted, spawned, tmp_path, case, took, timed_out
 ):
     pidfile = tmp_path / "pid"
     if case == "straggler in the group":
@@ -226,7 +227,10 @@ def test_a_failed_emptying_is_followed_by_a_fresh_directory(
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(work))
-    cfg = fake_cfg(scripted("pwd_ls", "pwd\nls -A\n: > litter.o\nexit 0\n"))
+    # quiet for any other program, so that its fork-server self-check
+    # sees the same run both ways; vetted before unlink is made to fail
+    body = 'case "$(cat input.rs)" in *LITTER*) pwd; ls -A; : > litter.o;; esac\n'
+    cfg = vetted(fake_cfg(scripted("pwd_ls", body)))
     unlink = os.unlink
 
     def fails_once(*args, **kwargs):
@@ -236,7 +240,7 @@ def test_a_failed_emptying_is_followed_by_a_fresh_directory(
     monkeypatch.setattr(os, "unlink", fails_once)
 
     def two_compiles():
-        return [compile_program("fn main() {}", cfg).stdout.split() for _ in "12"]
+        return [compile_program("// LITTER\n", cfg).stdout.split() for _ in "12"]
 
     # on a fresh thread, whose directories are all made under work
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -367,7 +371,7 @@ def poll_calls(monkeypatch):
 
 
 def test_a_compile_that_prints_a_little_wakes_only_at_its_exit(
-    scripted, poll_calls, monkeypatch
+    scripted, spawned, poll_calls, monkeypatch
 ):
     # 200 writes, as rustc prints a few KB of warnings in many: the
     # compiling thread waits for the exit, not for each write. A beat
@@ -421,7 +425,7 @@ def test_a_pipe_that_ends_while_the_compiler_runs_is_no_longer_watched(scripted)
 
 
 def test_an_escapee_writing_forever_does_not_hold_the_compile(
-    scripted, tmp_path, monkeypatch
+    scripted, spawned, tmp_path, monkeypatch
 ):
     # one byte a read under a 64 KiB cap, a pipe's default size: the
     # escapee refills the pipe faster than it is read, so the last drain
@@ -548,7 +552,7 @@ def logged(log):
     return log.read_text().splitlines() if log.exists() else []
 
 
-def test_rustup_proxy_is_resolved_to_the_toolchain_rustc(rustup_layout):
+def test_rustup_proxy_is_resolved_to_the_toolchain_rustc(rustup_layout, spawned):
     proxy, log, toolchain_rustc = rustup_layout()
     cfg = CompilerConfig(binary_path=proxy, extra_flags=("+tc", "-C", "opt-level=0"))
     for _ in range(3):
@@ -589,7 +593,7 @@ def test_threads_racing_on_first_use_agree_on_the_command(rustup_layout):
 
 @pytest.mark.parametrize("case", ["no sibling rustup", "wrapper next to rustup"])
 def test_a_rustc_that_is_not_the_proxy_runs_as_given(
-    rustup_layout, scripted, tmp_path, case
+    rustup_layout, scripted, spawned, tmp_path, case
 ):
     log = tmp_path / "wrapper.log"
     body = f'echo "$0 $*" >> "{log}"\nexit 0\n'
@@ -617,7 +621,7 @@ def test_a_rustc_that_is_not_the_proxy_runs_as_given(
     ids=["probe fails", "no toolchain rustc", "relative path"],
 )
 def test_a_proxy_that_names_no_toolchain_rustc_runs_as_given(
-    rustup_layout, layout, tmp_path, monkeypatch
+    rustup_layout, spawned, layout, tmp_path, monkeypatch
 ):
     proxy, log, _ = rustup_layout(**layout)
     # a relative answer names the toolchain rustc from here, and is
@@ -634,7 +638,9 @@ def test_a_proxy_that_names_no_toolchain_rustc_runs_as_given(
     ]
 
 
-def test_a_clippy_driver_proxy_runs_the_toolchain_clippy_driver(rustup_layout):
+def test_a_clippy_driver_proxy_runs_the_toolchain_clippy_driver(
+    rustup_layout, spawned
+):
     proxy, log, driver = rustup_layout(name="clippy-driver")
     # the toolchain's rustc sits beside it, and must not be run
     rustc = Path(driver).with_name("rustc")
@@ -664,7 +670,7 @@ def test_live_clippy_driver_lints_as_clippy():
 
 @pytest.mark.parametrize("where", ["alone", "proxy layout"])
 def test_a_fake_compiler_is_one_spawn_per_compile_and_never_probed(
-    rustup_layout, scripted, tmp_path, where
+    rustup_layout, scripted, spawned, tmp_path, where
 ):
     if where == "alone":
         log = tmp_path / "fake.log"

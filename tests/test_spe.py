@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
+from helpers import (
+    fixture_corpus_texts,
+    gen_angle_soup,
+    reference_extract_variables,
+    repeated_fixture_seed,
+)
 
 from clozefuzz.lexer import TokenKind, lex
 from clozefuzz.spe import (
@@ -73,6 +81,42 @@ class TestExtraction:
         skeleton = extract_variables(src)
         assert time.perf_counter() - started < 1.0
         assert skeleton.occurrences == occurrences
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "fn f() { let let a = 1; let mut mut b = 2; let mut let c = 3; }",
+            "fn fn g(a: u8) { a } fn h; (b: u8) fn k { (c: u8) }",
+            "fn f(a: u8, (b: u8), g: fn(c: u8)) { a.b; b::a; a!(); ::b }",
+            "fn f(a: u8",
+            "let",
+        ],
+    )
+    def test_edge_cases_match_the_reference(self, src):
+        expected = reference_extract_variables(src)
+        assert extract_variables(src) == expected
+
+    def test_skeletons_match_the_reference_on_fixture_seeds(self):
+        texts = fixture_corpus_texts() + [repeated_fixture_seed(20_000)]
+        rng = random.Random(33)
+        texts += [gen_angle_soup(rng) for _ in range(500)]
+        for text in texts:
+            assert extract_variables(text) == reference_extract_variables(text), text
+
+    def test_extraction_peaks_at_most_16_bytes_per_character(self):
+        # two streamed passes: no list of tokens lives beside the
+        # skeleton
+        text = repeated_fixture_seed(200_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            skeleton = extract_variables(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(skeleton.occurrences) > 5000
+        assert peak / len(text) <= 16
 
     def test_no_bindings_no_occurrences(self):
         assert extract_variables("fn main() {}").occurrences == []
