@@ -53,10 +53,11 @@ a command keeps the verdict of its latest build only.
 Compiles are spawned instead, and a warning says why once per process
 and target, when ``cc`` is missing or the build fails, the cache
 directory is unusable, the server does not answer its handshake, or
-the self-check differs or is cut short by ``killing_compiles``. A
-server lost mid-compile is dropped and that compile run again by
-spawn, so a lost server changes no outcome. A compile whose binary has
-gone is spawned too, so that it fails as the compiler it cannot start.
+the self-check differs, times out or is cut short by
+``killing_compiles``. A server lost mid-compile is dropped and that
+compile run again by spawn, so a lost server changes no outcome. A
+compile whose binary has gone is spawned too, so that it fails as the
+compiler it cannot start.
 
 Supported compiler kinds: "rustc", "mrustc", and "scripted-fake" (a
 stand-in executable used by the test suite and for offline dry runs).
@@ -610,7 +611,9 @@ def _vet(cmd: tuple[str, ...], cfg: CompilerConfig) -> str:
         _self_check(shim, cmd, cfg)
         with suppress(OSError):  # unrecorded, it is checked again next time
             open(verdict, "xb").close()
-        for stale in glob.glob(f"{glob.escape(stem)}-*.ok"):
+        # with the argv-and-build verdicts of earlier versions, unread
+        old = f"{glob.escape(shim[:-3])}-{'?' * 16}.ok"
+        for stale in glob.glob(f"{glob.escape(stem)}-*.ok") + glob.glob(old):
             if stale != verdict:
                 with suppress(OSError):
                     os.unlink(stale)
@@ -623,17 +626,22 @@ def _digest(key: object) -> str:
 
 def _self_check(shim: str, cmd: tuple[str, ...], cfg: CompilerConfig) -> None:
     """Compile ``_SELF_CHECK`` once by spawn and once through a fork
-    server, in a directory of its own, and raise ``_NoServer`` unless
-    both give the same status, stdout, stderr and timeout, and no
+    server, each from a directory holding only its input.rs, and raise
+    ``_NoServer`` unless the spawned one ends within the timeout, both
+    give the same status, stdout, stderr and timeout, and no
     ``killing_compiles`` block has cut them short."""
     timeout = cfg.timeout_secs
     try:
         with tempfile.TemporaryDirectory(prefix=f"clozefuzz-{os.getpid()}-") as work:
-            with open(os.path.join(work, "input.rs"), "w", encoding="utf-8") as f:
-                f.write(_SELF_CHECK)
+            _refill(work)
             spawned = _capture(
                 functools.partial(_popen, list(cmd), work, cfg._env), timeout
             )
+            # a served timeout would only match it, a second timeout later
+            if spawned[3]:
+                raise _NoServer("the compiler timed out on the self-check")
+            # the served compile starts from what the spawned one found
+            _refill(work)
             server = _Server(shim, cmd, work, cfg._env, timeout)
             try:
                 served = _capture(server.start, timeout)
@@ -646,6 +654,15 @@ def _self_check(shim: str, cmd: tuple[str, ...], cfg: CompilerConfig) -> None:
         raise _NoServer("the fork server's self-check was cut short")
     if served[:4] != spawned[:4]:
         raise _NoServer("a compile through the fork server differs from a spawned one")
+
+
+def _refill(work: str) -> None:
+    """Make the self-check's directory ``work`` anew, holding only its
+    input.rs."""
+    shutil.rmtree(work)
+    os.mkdir(work, 0o700)
+    with open(os.path.join(work, "input.rs"), "w", encoding="utf-8") as f:
+        f.write(_SELF_CHECK)
 
 
 def _shim() -> str:

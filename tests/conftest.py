@@ -6,7 +6,6 @@ import shlex
 import sys
 import textwrap
 import time
-from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -32,16 +31,20 @@ def spawned(monkeypatch):
 
 
 def vetted(cfg: CompilerConfig, timeout: float | None = None) -> CompilerConfig:
-    """Run the target's fork-server self-check now, and return ``cfg``,
-    so that what a test counts from here on holds none of the check's
-    two compiles. The check's compiles are timed out after ``timeout``
-    seconds when it is given, for a compiler that hangs on every
-    program. Without ``cc`` there is nothing to check."""
+    """Run the target's fork-server self-check now, as its first compile
+    would, and return ``cfg``, so that what a test counts from here on
+    holds none of the check's compiles. The check's compiles are timed
+    out after ``timeout`` seconds when it is given, for a compiler that
+    hangs on every program, which is then spawned. Without ``cc`` there
+    is nothing to check."""
     argv = tuple(cfg.command("input.rs"))
     check = copy.copy(cfg)
     check.timeout_secs = timeout or cfg.timeout_secs
-    with suppress(harness._NoServer):
-        harness._vet(argv, check)
+    with harness._verdict_lock:
+        try:
+            harness._verdicts[argv] = harness._vet(argv, check)
+        except harness._NoServer as exc:
+            harness._spawn_from_now_on(argv, exc)
     return cfg
 
 

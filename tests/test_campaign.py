@@ -264,10 +264,11 @@ class TestBundles:
 class TestRustupProxy:
     def test_one_probe_per_campaign(self, corpus_dir, tmp_path, rustup_layout):
         proxy, log, toolchain_rustc = rustup_layout(TRIGGER_BODY)
+        # the self-check, vetted through a config of its own, so that the
+        # probe read below is the campaign's
+        vetted(CompilerConfig(binary_path=proxy, timeout_secs=5.0))
+        log.write_text("")
         compiler = CompilerConfig(binary_path=proxy, timeout_secs=5.0)
-        # keep the probe's line, not the fork server's self-check's
-        vetted(compiler)
-        log.write_text(log.read_text().splitlines()[0] + "\n")
         cfg = make_config(
             corpus_dir, tmp_path, compiler, ["ok()", "0xBUG boom()"],
             budget=6, workers=2,

@@ -365,6 +365,36 @@ def test_a_self_check_cut_short_keeps_no_verdict(fresh_cache, scripted, tmp_path
     assert "self-check was cut short" in record.getMessage()
 
 
+@needs_cc
+def test_a_self_check_that_times_out_keeps_no_verdict(fresh_cache, scripted, tmp_path, caplog):
+    log = tmp_path / "pids"
+    body = f'echo $$ >> "{log}"\nexec sleep 30\n'
+    cfg = CompilerConfig(
+        binary_path=scripted("hangs", body), kind="scripted-fake", timeout_secs=0.5
+    )
+    with caplog.at_level(logging.WARNING, logger="clozefuzz.harness"):
+        outcome = compile_program(HAZARD, cfg)
+    assert outcome.timed_out
+    # the self-check's spawned compile, then the compile itself, spawned:
+    # a served one would only have timed out alike
+    assert len(log.read_text().splitlines()) == 2
+    assert not server_pids()
+    assert not list(fresh_cache.glob("*.ok"))
+    (record,) = caplog.records
+    assert "timed out on the self-check" in record.getMessage()
+
+
+@needs_cc
+def test_each_self_check_compile_starts_from_its_input_alone(fresh_cache, scripted):
+    # what the spawned compile leaves is gone before the served one
+    cfg = CompilerConfig(
+        binary_path=scripted("litters", "ls -A\n: > litter.o\n"), kind="scripted-fake"
+    )
+    assert compile_program(HAZARD, cfg).stdout == "input.rs\n"
+    assert server_pids()
+    assert len(list(fresh_cache.glob("*.ok"))) == 1
+
+
 def test_a_failing_cc_leaves_no_shim_behind(fresh_cache, tmp_path, monkeypatch, caplog):
     bindir = tmp_path / "bin"
     bindir.mkdir()
@@ -476,6 +506,21 @@ def test_a_rebuilt_compiler_keeps_one_verdict(fresh_cache, scripted, monkeypatch
     (gone,) = first - now
     assert new.name.rsplit("-", 1)[0] == gone.name.rsplit("-", 1)[0]
     assert kept.name.rsplit("-", 1)[0] != gone.name.rsplit("-", 1)[0]
+
+
+@needs_cc
+def test_a_verdict_written_removes_those_of_the_earlier_naming(fresh_cache, scripted):
+    cfg = CompilerConfig(binary_path=scripted("fresh", "exit 0\n"), kind="scripted-fake")
+    compile_program(HAZARD, cfg)
+    (shim,) = fresh_cache.glob("*.so")
+    (verdict,) = fresh_cache.glob("*.ok")
+    # an argv-and-build verdict named as before, which nothing reads
+    old = fresh_cache / f"{shim.stem}-{'0' * 16}.ok"
+    old.touch()
+    verdict.unlink()
+    harness._verdicts.clear()
+    compile_program(HAZARD, cfg)
+    assert list(fresh_cache.glob("*.ok")) == [verdict]
 
 
 # one program per way a compile can end. The last loops forever in
